@@ -4,16 +4,22 @@ GO ?= go
 
 # check is the tier-1 gate plus the targeted race pass: everything a PR
 # must pass. `make race` remains the full-repo race sweep. The bench steps
-# build and run the nil-tracer and vectorized map-join benchmarks once
-# (smokes that the disabled-tracing fast path and the pooled join pipeline
-# keep compiling and running; no timing assertion — compare ns/op manually
-# with `go test -bench . ./internal/obs` / `./internal/vexec`). The last
-# step is a tiny E14 run: a mixed interactive+batch client population
-# through the multi-tenant server, checking concurrent results stay
-# byte-identical to serial.
+# build and run the nil-tracer, vectorized map-join and vectorized
+# group-by benchmarks once (smokes that the disabled-tracing fast path, the
+# pooled join pipeline and the typed hash aggregation keep compiling and
+# running; no timing assertion — compare ns/op manually with
+# `go test -bench . ./internal/obs` / `./internal/vexec`). TestDeterminism
+# runs three times (same seed, same verdicts and execution counts), and the
+# dfs lock-order regression runs under -race. The last step is a tiny E14
+# run: a mixed interactive+batch client population through the
+# multi-tenant server, checking concurrent results stay byte-identical to
+# serial.
 check: vet build test race-core
 	$(GO) test -run=NONE -bench=BenchmarkNilTracer -benchtime=1x ./internal/obs
 	$(GO) test -run=NONE -bench=BenchmarkVectorizedMapJoin -benchtime=1x ./internal/vexec
+	$(GO) test -run=NONE -bench=BenchmarkVectorizedHashAgg -benchtime=1x ./internal/vexec
+	$(GO) test -run=TestDeterminism -count=3 ./internal/qcheck
+	$(GO) test -race -run=TestWriteListLockOrder -count=1 ./internal/dfs
 	$(GO) test -run=TestConcurrencyShape -count=1 ./internal/bench
 	$(GO) test -run=TestACIDShape -count=1 ./internal/bench
 	$(GO) test -run=TestCBOShape -count=1 ./internal/bench

@@ -2,6 +2,8 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -152,5 +154,135 @@ func TestOverlappingCopy(t *testing.T) {
 	comp := roundTrip(t, Snappy, src)
 	if len(comp) > 200 {
 		t.Errorf("run-length pattern compressed to %d bytes; expected far smaller", len(comp))
+	}
+}
+
+func TestLzRejectsZeroDistanceCopy(t *testing.T) {
+	c, _ := ForKind(Snappy)
+	// Literal "abcd", then a copy of 4 bytes from distance 0.
+	block := []byte{8, 6, 'a', 'b', 'c', 'd', 1, 0}
+	if _, err := c.Decompress(nil, block, 8); err == nil {
+		t.Error("Decompress accepted a copy with distance 0")
+	}
+	// A copy longer than the declared length is corrupt too.
+	block = []byte{8, 6, 'a', 'b', 'c', 'd', 1 | 10<<1, 4}
+	if _, err := c.Decompress(nil, block, 8); err == nil {
+		t.Error("Decompress accepted a copy past the declared length")
+	}
+}
+
+func TestLzHugeDeclaredLength(t *testing.T) {
+	c, _ := ForKind(Snappy)
+	// Headers declaring 1 TiB and 2^62 bytes over a four-byte literal: the
+	// decoder must report the short block, not size its output from the
+	// header.
+	for _, declared := range []uint64{1 << 40, 1 << 62} {
+		block := append(binary.AppendUvarint(nil, declared), 6, 'a', 'b', 'c', 'd')
+		if _, err := c.Decompress(nil, block, int(declared)); err == nil {
+			t.Errorf("Decompress accepted a 4-byte block declaring %d bytes", declared)
+		}
+	}
+}
+
+// lzOpsLen sums the bytes a block's ops would write, stopping at the first
+// malformed op or once the sum passes limit.
+func lzOpsLen(block []byte, limit uint64) uint64 {
+	_, n := binary.Uvarint(block)
+	if n <= 0 {
+		return 0
+	}
+	block = block[n:]
+	var total uint64
+	for len(block) > 0 && total <= limit {
+		op, n := binary.Uvarint(block)
+		if n <= 0 {
+			break
+		}
+		block = block[n:]
+		if op&1 == 0 {
+			lit := op>>1 + 1
+			if lit > uint64(len(block)) {
+				break
+			}
+			total += lit
+			block = block[lit:]
+			continue
+		}
+		if _, n = binary.Uvarint(block); n <= 0 {
+			break
+		}
+		block = block[n:]
+		total += op>>1 + lzMinMatch
+	}
+	return total
+}
+
+// FuzzLZDecompress feeds arbitrary blocks to the decoder, which must
+// return an error rather than panic whatever length the header declares,
+// and round-trips the input through
+// Compress, which must decode byte for byte.
+func FuzzLZDecompress(f *testing.F) {
+	lz, _ := ForKind(Snappy)
+	for _, in := range [][]byte{
+		nil,
+		[]byte("a"),
+		[]byte("hello hello hello hello"),
+		bytes.Repeat([]byte{0xAB, 0xCD}, 300),
+		[]byte(strings.Repeat("the quick brown fox ", 40)),
+	} {
+		comp, _ := lz.Compress(nil, in)
+		f.Add(comp)
+		f.Add(in)
+	}
+	f.Add([]byte{8, 6, 'a', 'b', 'c', 'd', 1, 0})
+	f.Add([]byte{8, 6, 'a', 'b', 'c', 'd', 1, 4})
+	f.Add([]byte{8, 6, 'a', 'b', 'c', 'd', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 4})
+	f.Add([]byte{0xff, 0xff, 0x03, 1, 1})
+	f.Add(append(binary.AppendUvarint(nil, 1<<40), 6, 'a', 'b', 'c', 'd'))
+	f.Add(append(binary.AppendUvarint(nil, 1<<62), 6, 'a', 'b', 'c', 'd', 1|8<<1, 4))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Only a block whose ops really write more than 1 MiB is skipped:
+		// decoding it needs the memory it declares.
+		if declared, n := binary.Uvarint(data); n > 0 && lzOpsLen(data, 1<<20) <= 1<<20 {
+			out, err := lz.Decompress([]byte("prefix"), data, int(declared))
+			if err == nil && len(out) != len("prefix")+int(declared) {
+				t.Fatalf("decoded %d bytes, header declares %d", len(out)-len("prefix"), declared)
+			}
+		}
+		comp, err := lz.Compress(nil, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := lz.Decompress(nil, comp, len(data))
+		if err != nil {
+			t.Fatalf("decompress own output: %v", err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("round trip mismatch: got %d bytes, want %d", len(got), len(data))
+		}
+	})
+}
+
+// BenchmarkLZDecompress decodes a 256 KiB block shaped like ORC column
+// streams: varint-encoded small integers and repetitive 8-byte doubles.
+func BenchmarkLZDecompress(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var src []byte
+	for len(src) < 256<<10 {
+		src = binary.AppendUvarint(src, uint64(rng.Intn(2500)))
+		src = binary.LittleEndian.AppendUint64(src, math.Float64bits(float64(rng.Intn(5000))/100))
+	}
+	lz, _ := ForKind(Snappy)
+	comp, err := lz.Compress(nil, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lz.Decompress(nil, comp, len(src)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // lzCodec is a byte-oriented LZ77 block codec playing the role of Snappy in
@@ -23,6 +24,13 @@ const (
 	lzMaxDist   = 1 << 16
 	lzHashBits  = 14
 	lzHashShift = 32 - lzHashBits
+
+	// Decompress sizes its output up front from the declared length, but
+	// only up to lzGrowFloor plus lzGrowRatio bytes per compressed byte, so
+	// a corrupt header cannot force a huge allocation; a block that
+	// expands further grows as it decodes.
+	lzGrowFloor = 256 << 10
+	lzGrowRatio = 32
 )
 
 func (lzCodec) Kind() Kind { return Snappy }
@@ -79,43 +87,67 @@ func appendLiteral(dst, lit []byte) []byte {
 }
 
 // Decompress appends the decoded bytes to dst. originalLen is checked
-// against the length recorded in the block header.
+// against the length recorded in the block header. dst grows once to hold
+// the whole block (within the lzGrowFloor/lzGrowRatio limit); ops that
+// would write past originalLen, or copy from before the block start or
+// from distance 0, are rejected as corrupt.
 func (lzCodec) Decompress(dst, src []byte, originalLen int) ([]byte, error) {
 	declared, n := binary.Uvarint(src)
 	if n <= 0 {
 		return nil, fmt.Errorf("compress: lz block missing length header")
 	}
-	if int(declared) != originalLen {
+	if originalLen < 0 || declared != uint64(originalLen) {
 		return nil, fmt.Errorf("compress: lz block declares %d bytes, caller expects %d", declared, originalLen)
 	}
 	src = src[n:]
 	start := len(dst)
+	dst = slices.Grow(dst, min(originalLen, lzGrowFloor+lzGrowRatio*len(src)))
 	for len(src) > 0 {
-		op, n := binary.Uvarint(src)
-		if n <= 0 {
-			return nil, fmt.Errorf("compress: truncated lz op")
+		op, n := uint64(src[0]), 1
+		if op >= 0x80 {
+			if op, n = binary.Uvarint(src); n <= 0 {
+				return nil, fmt.Errorf("compress: truncated lz op")
+			}
 		}
 		src = src[n:]
 		if op&1 == 0 { // literal
-			litLen := int(op>>1) + 1
-			if litLen > len(src) {
+			litLen := op>>1 + 1
+			if litLen > uint64(len(src)) {
 				return nil, fmt.Errorf("compress: literal overruns block (%d > %d)", litLen, len(src))
+			}
+			if litLen > uint64(originalLen-(len(dst)-start)) {
+				return nil, fmt.Errorf("compress: lz literal overruns declared length %d", originalLen)
 			}
 			dst = append(dst, src[:litLen]...)
 			src = src[litLen:]
 		} else { // copy
-			matchLen := int(op>>1) + lzMinMatch
-			dist, n := binary.Uvarint(src)
-			if n <= 0 {
+			if len(src) == 0 {
 				return nil, fmt.Errorf("compress: truncated lz copy distance")
 			}
+			dist, n := uint64(src[0]), 1
+			if dist >= 0x80 {
+				if dist, n = binary.Uvarint(src); n <= 0 {
+					return nil, fmt.Errorf("compress: truncated lz copy distance")
+				}
+			}
 			src = src[n:]
-			pos := len(dst) - int(dist)
-			if pos < start {
+			if dist == 0 {
+				return nil, fmt.Errorf("compress: lz copy with distance 0")
+			}
+			if dist > uint64(len(dst)-start) {
 				return nil, fmt.Errorf("compress: lz copy reaches before block start")
 			}
-			// Overlapping copies are the core of RLE-via-LZ; copy byte
-			// by byte when the regions overlap.
+			if left := originalLen - (len(dst) - start); left < lzMinMatch || op>>1 > uint64(left-lzMinMatch) {
+				return nil, fmt.Errorf("compress: lz copy overruns declared length %d", originalLen)
+			}
+			matchLen := int(op>>1) + lzMinMatch
+			pos := len(dst) - int(dist)
+			if int(dist) >= matchLen {
+				dst = append(dst, dst[pos:pos+matchLen]...)
+				continue
+			}
+			// Overlapping copies are the core of RLE-via-LZ: each byte
+			// may read one this copy just wrote.
 			for k := 0; k < matchLen; k++ {
 				dst = append(dst, dst[pos+k])
 			}

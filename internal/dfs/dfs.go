@@ -155,14 +155,19 @@ func (e *CorruptError) Error() string {
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
 // FS is the in-memory distributed filesystem. It is safe for concurrent use.
+//
+// Lock order: fs.mu before any file's f.mu. List, Rename and the other
+// namespace walks hold fs.mu while they take f.mu; nothing that holds f.mu
+// may take fs.mu. Block placement therefore advances nextNode atomically
+// rather than under fs.mu.
 type FS struct {
 	mu        sync.RWMutex
 	files     map[string]*file
 	down      map[string]bool // unavailable files (simulated replica loss)
 	blockSize int64
 	numNodes  int
-	nextNode  int   // round-robin placement cursor
-	bandwidth int64 // simulated bytes/second, 0 = free I/O
+	nextNode  atomic.Uint64 // round-robin placement cursor
+	bandwidth int64         // simulated bytes/second, 0 = free I/O
 	seek      time.Duration
 	stats     Stats
 	faults    atomic.Value // ReadFaultPolicy
@@ -454,10 +459,7 @@ func (w *FileWriter) Write(p []byte) (int, error) {
 	}
 	w.f.data = append(w.f.data, p...)
 	for int64(len(w.f.blocks))*w.fs.blockSize < int64(len(w.f.data)) {
-		w.fs.mu.Lock()
-		node := w.fs.nextNode
-		w.fs.nextNode = (w.fs.nextNode + 1) % w.fs.numNodes
-		w.fs.mu.Unlock()
+		node := int((w.fs.nextNode.Add(1) - 1) % uint64(w.fs.numNodes))
 		w.f.blocks = append(w.f.blocks, node)
 	}
 	w.fs.stats.BytesWritten.Add(int64(len(p)))

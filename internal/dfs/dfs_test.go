@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -487,5 +488,87 @@ func TestChecksumsSurviveMultiBlockReads(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("multi-block read mismatch")
+	}
+}
+
+// TestWriteListLockOrder races writers crossing block boundaries against
+// the namespace walks that take fs.mu before a file's f.mu (List,
+// TotalSize, Rename). Write must never take fs.mu while it holds f.mu;
+// when it did, List and Write deadlocked and this test hit its deadline.
+func TestWriteListLockOrder(t *testing.T) {
+	fs := New(WithBlockSize(8), WithNodes(3))
+	const rounds = 300
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	errs := make(chan error, 4)
+	wg.Add(1)
+	go func() { // writer: every small write crosses a block boundary
+		defer wg.Done()
+		chunk := bytes.Repeat([]byte{'w'}, 11)
+		for i := 0; i < rounds; i++ {
+			w, err := fs.Create(fmt.Sprintf("/d/w-%d", i))
+			if err != nil {
+				errs <- err
+				return
+			}
+			for j := 0; j < 4; j++ {
+				if _, err := w.Write(chunk); err != nil {
+					errs <- err
+					return
+				}
+			}
+			if err := w.Close(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // renamer: publishes sealed files inside the same directory
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			name := fmt.Sprintf("/d/r-%d", i)
+			w, err := fs.Create(name + ".tmp")
+			if err != nil {
+				errs <- err
+				return
+			}
+			w.Write([]byte("renamed payload"))
+			w.Close()
+			if err := fs.Rename(name+".tmp", name); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	walkers := make(chan struct{})
+	go func() { // walkers: List and TotalSize until the others finish
+		defer close(walkers)
+		for !stop.Load() {
+			fs.List("/d")
+			fs.TotalSize("/d")
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		stop.Store(true)
+		<-walkers
+		close(done)
+	}()
+	select {
+	case <-done:
+	case err := <-errs:
+		t.Fatal(err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("Write racing List/TotalSize/Rename did not finish: lock-order deadlock")
+	}
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if got := len(fs.List("/d")); got != 2*rounds {
+		t.Fatalf("listed %d files, want %d", got, 2*rounds)
 	}
 }

@@ -42,15 +42,19 @@ func EncodeKey(vals []any, desc []bool) ([]byte, error) {
 	var out []byte
 	for i, v := range vals {
 		start := len(out)
-		if v == nil {
-			out = append(out, 0x00)
-		} else {
-			out = append(out, 0x01)
-			var err error
-			out, err = appendOrdered(out, v)
-			if err != nil {
-				return nil, err
-			}
+		switch x := v.(type) {
+		case nil:
+			out = AppendKeyNull(out)
+		case int64:
+			out = AppendKeyLong(out, x)
+		case float64:
+			out = AppendKeyDouble(out, x)
+		case bool:
+			out = AppendKeyBool(out, x)
+		case string:
+			out = AppendKeyString(out, x)
+		default:
+			return nil, fmt.Errorf("exec: cannot encode key value of type %T", v)
 		}
 		if desc != nil && desc[i] {
 			for j := start; j < len(out); j++ {
@@ -61,34 +65,52 @@ func EncodeKey(vals []any, desc []bool) ([]byte, error) {
 	return out, nil
 }
 
-func appendOrdered(out []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case int64:
-		return binary.BigEndian.AppendUint64(out, uint64(x)^(1<<63)), nil
-	case float64:
-		bits := math.Float64bits(x)
-		if bits&(1<<63) != 0 {
-			bits = ^bits
-		} else {
-			bits |= 1 << 63
-		}
-		return binary.BigEndian.AppendUint64(out, bits), nil
-	case bool:
-		if x {
-			return append(out, 1), nil
-		}
-		return append(out, 0), nil
-	case string:
-		for i := 0; i < len(x); i++ {
-			if x[i] == 0x00 {
-				out = append(out, 0x00, 0xFF)
-			} else {
-				out = append(out, x[i])
-			}
-		}
-		return append(out, 0x00, 0x00), nil
+// The AppendKey* functions append one ascending key part in EncodeKey's
+// format: 0x00 for NULL, else 0x01 and an order-preserving encoding of the
+// value. Typed callers (the vectorized group-by) build keys byte-identical
+// to EncodeKey's without boxing values.
+
+// AppendKeyNull appends a NULL key part.
+func AppendKeyNull(out []byte) []byte { return append(out, 0x00) }
+
+// AppendKeyLong appends an integer key part: big-endian with the sign bit
+// flipped.
+func AppendKeyLong(out []byte, x int64) []byte {
+	return binary.BigEndian.AppendUint64(append(out, 0x01), uint64(x)^(1<<63))
+}
+
+// AppendKeyDouble appends a floating key part: negative values have every
+// bit inverted, others only the sign bit set.
+func AppendKeyDouble(out []byte, x float64) []byte {
+	bits := math.Float64bits(x)
+	if bits&(1<<63) != 0 {
+		bits = ^bits
+	} else {
+		bits |= 1 << 63
 	}
-	return nil, fmt.Errorf("exec: cannot encode key value of type %T", v)
+	return binary.BigEndian.AppendUint64(append(out, 0x01), bits)
+}
+
+// AppendKeyBool appends a boolean key part.
+func AppendKeyBool(out []byte, x bool) []byte {
+	if x {
+		return append(out, 0x01, 1)
+	}
+	return append(out, 0x01, 0)
+}
+
+// AppendKeyString appends a string key part: 0x00 bytes are escaped as
+// 0x00 0xFF and the part ends with 0x00 0x00, so a prefix sorts first.
+func AppendKeyString[S string | []byte](out []byte, s S) []byte {
+	out = append(out, 0x01)
+	for i := 0; i < len(s); i++ {
+		if s[i] == 0x00 {
+			out = append(out, 0x00, 0xFF)
+		} else {
+			out = append(out, s[i])
+		}
+	}
+	return append(out, 0x00, 0x00)
 }
 
 // Row value codec: per column, a null byte then a kind-specific encoding.

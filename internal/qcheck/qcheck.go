@@ -82,7 +82,7 @@ type Report struct {
 	Cells      int   // matrix cells compared per query (incl. reference)
 	Scenarios  int   // tables generated
 	Queries    int   // statements generated and cross-checked
-	Executions int64 // total query executions across all cells
+	Executions int64 // query executions across all cells; each /txn read counts with its replay
 	Failures   []*Failure
 	// PlanDivergences counts queries whose optimized plan changed when CBO
 	// was toggled on (join order, map-join choice, or estimate-driven
