@@ -9,8 +9,10 @@ GO ?= go
 # pooled join pipeline and the typed hash aggregation keep compiling and
 # running; no timing assertion — compare ns/op manually with
 # `go test -bench . ./internal/obs` / `./internal/vexec`). TestDeterminism
-# runs three times (same seed, same verdicts and execution counts), and the
-# dfs lock-order regression runs under -race. The last step is a tiny E14
+# runs three times (same seed, same verdicts and execution counts), as do
+# the timing-dependent server preemption-requeue test and the stale
+# prepared-plan test; the dfs and txn lock-order regressions run under
+# -race. The last step is a tiny E14
 # run: a mixed interactive+batch client population through the
 # multi-tenant server, checking concurrent results stay byte-identical to
 # serial.
@@ -19,7 +21,10 @@ check: vet build test race-core
 	$(GO) test -run=NONE -bench=BenchmarkVectorizedMapJoin -benchtime=1x ./internal/vexec
 	$(GO) test -run=NONE -bench=BenchmarkVectorizedHashAgg -benchtime=1x ./internal/vexec
 	$(GO) test -run=TestDeterminism -count=3 ./internal/qcheck
+	$(GO) test -run=TestPreemptedQueryRequeuesAndCompletes -count=3 ./internal/server
+	$(GO) test -run=TestPreparedQueryReplansAfterWrite -count=3 ./internal/core
 	$(GO) test -race -run=TestWriteListLockOrder -count=1 ./internal/dfs
+	$(GO) test -race -run=TestTableLockOrder -count=1 ./internal/txn
 	$(GO) test -run=TestConcurrencyShape -count=1 ./internal/bench
 	$(GO) test -run=TestACIDShape -count=1 ./internal/bench
 	$(GO) test -run=TestCBOShape -count=1 ./internal/bench

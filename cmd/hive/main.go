@@ -437,7 +437,7 @@ statements: SELECT ...; EXPLAIN <select>; EXPLAIN ANALYZE <select>
 				if srv != nil {
 					res, p, prof, err = sess.RunProfiled(ctx, line)
 				} else {
-					res, p, prof, err = env.Driver.RunProfiled(ctx, line)
+					res, p, prof, err = env.Driver.RunProfiledWith(ctx, env.Driver.Config(), line)
 				}
 				if err == nil {
 					for _, l := range core.RenderAnalyzedPlan(p, prof, res) {
@@ -447,7 +447,7 @@ statements: SELECT ...; EXPLAIN <select>; EXPLAIN ANALYZE <select>
 			} else if srv != nil {
 				res, err = sess.Run(ctx, line)
 			} else {
-				res, err = env.Driver.RunContext(ctx, line)
+				res, err = env.Driver.RunWith(ctx, env.Driver.Config(), line)
 			}
 			cancel()
 			if tracer != nil {

@@ -168,7 +168,7 @@ func cboEstError(p *plan.Plan, prof *obs.PlanProfile) (float64, int) {
 }
 
 func cboMeasure(env *Env, name string) (CBORow, []interface{}, error) {
-	res, p, prof, err := env.Driver.RunProfiled(context.Background(), cboQuery)
+	res, p, prof, err := env.Driver.RunProfiledWith(context.Background(), env.Driver.Config(), cboQuery)
 	if err != nil {
 		return CBORow{}, nil, fmt.Errorf("bench: cbo %s: %w", name, err)
 	}

@@ -92,7 +92,7 @@ func joinStats(p *plan.Plan, prof *obs.PlanProfile) (builds, reused, cached, bat
 
 // joinMeasure runs the query once profiled and converts it to a JoinRow.
 func joinMeasure(env *Env, name, query string) (JoinRow, []interface{}, error) {
-	res, p, prof, err := env.Driver.RunProfiled(context.Background(), query)
+	res, p, prof, err := env.Driver.RunProfiledWith(context.Background(), env.Driver.Config(), query)
 	if err != nil {
 		return JoinRow{}, nil, fmt.Errorf("bench: join %s: %w", name, err)
 	}

@@ -54,7 +54,7 @@ type ObsReport struct {
 // and folds its scan-operator attribution.
 func profiledRun(env *Env, ctx0 context.Context, name, sql string) (ObsRow, []string, error) {
 	ctx, sp := obs.StartSpan(ctx0, name, obs.CatPhase)
-	res, p, prof, err := env.Driver.RunProfiled(ctx, sql)
+	res, p, prof, err := env.Driver.RunProfiledWith(ctx, env.Driver.Config(), sql)
 	sp.FinishErr(err)
 	if err != nil {
 		return ObsRow{}, nil, fmt.Errorf("bench: obs %s: %w", name, err)

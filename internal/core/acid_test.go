@@ -120,7 +120,7 @@ func TestACIDSnapshotPinsQueryAcrossCommit(t *testing.T) {
 	// The explicit (older) snapshot still reads 300 rows; a fresh query
 	// sees the commit.
 	ctx := txn.WithSnapshot(context.Background(), snap)
-	res, err := d.RunContext(ctx, "SELECT COUNT(*), SUM(k) FROM events")
+	res, err := d.RunWith(ctx, d.Config(), "SELECT COUNT(*), SUM(k) FROM events")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestConcurrentStatsExact(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, q := range concurrentQueries {
-				res, err := d.RunContext(context.Background(), q)
+				res, err := d.RunWith(context.Background(), d.Config(), q)
 				if err != nil {
 					t.Errorf("%q: %v", q, err)
 					return

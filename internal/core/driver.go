@@ -430,33 +430,87 @@ type ExecStats struct {
 // and compiled tasks without executing.
 func (d *Driver) Explain(query string) (*plan.Plan, *compiler.Compiled, error) {
 	conf := d.Config()
-	_, p, compiled, err := d.explainStaged(context.Background(), &conf, query)
-	return p, compiled, err
+	prep, err := d.prepare(context.Background(), &conf, query)
+	if err != nil {
+		return nil, nil, err
+	}
+	if prep.ddl != nil {
+		return nil, nil, fmt.Errorf("core: cannot explain DDL")
+	}
+	return prep.plan, prep.compiled, nil
 }
 
-// explainStaged runs the front-end phases — parse, plan, optimize,
-// compile — each under its own trace span (no-ops when the context
-// carries no tracer), returning the parsed statement as well so callers
-// can see EXPLAIN / EXPLAIN ANALYZE flags. conf is the query's private
-// configuration snapshot: concurrent queries each plan against their own.
-func (d *Driver) explainStaged(ctx context.Context, conf *Config, query string) (*sql.SelectStmt, *plan.Plan, *compiler.Compiled, error) {
+// Prepared is a query that has been through the front end once (Figure 1:
+// parse, semantic analysis, optimize, compile) under a configuration
+// snapshot, ready for Execute. A Prepared is never modified, so one may be
+// executed again — the server re-executes it when a preempted query
+// requeues.
+type Prepared struct {
+	// ScanBytes is the admission and slow-query pre-trace estimate: each
+	// base table once, at its largest scan — a pruned scan's SelBytes,
+	// otherwise the table's primary-replica bytes (logicalTableBytes).
+	ScanBytes int64
+
+	query    string
+	conf     Config
+	stmt     *sql.SelectStmt      // nil for DDL
+	ddl      *sql.CreateTableStmt // nil for queries
+	plan     *plan.Plan
+	compiled *compiler.Compiled
+	// versions holds each scanned base table's metastore version, read
+	// after planning; Execute prepares again when any has moved, since a
+	// pruned scan's partition list is frozen in the plan.
+	versions map[string]int64
+	frontEnd time.Duration // Prepare's wall, charged to each execution's record
+}
+
+// Prepare runs the front end under a private configuration snapshot. The
+// server prepares before admission, so a query that cannot plan never
+// takes a slot; a failed Prepare still leaves one failed query-history
+// record.
+func (d *Driver) Prepare(ctx context.Context, conf Config, query string) (*Prepared, error) {
+	start := time.Now()
+	prep, err := d.prepare(ctx, &conf, query)
+	wall := time.Since(start)
+	if err != nil {
+		lq := d.History().Begin(d.queryID.Add(1), query, conf.Engine.String(), sysdb.MetaFrom(ctx))
+		lq.Finish(sysdb.Outcome{Err: err, Wall: wall}, nil)
+		d.queryHist.Load().ObserveDuration(wall)
+		return nil, err
+	}
+	prep.frontEnd = wall
+	return prep, nil
+}
+
+// prepare runs the front-end phases — parse, plan, optimize, compile —
+// each under its own trace span (no-ops when the context carries no
+// tracer). DDL is only parsed.
+func (d *Driver) prepare(ctx context.Context, conf *Config, query string) (*Prepared, error) {
+	prep := &Prepared{query: query, conf: *conf}
+	if ddl, isDDL, err := sql.MaybeDDL(query); isDDL {
+		if err != nil {
+			return nil, err
+		}
+		prep.ddl = ddl
+		return prep, nil
+	}
 	_, sp := obs.StartSpan(ctx, "parse", obs.CatPhase)
 	stmt, err := sql.Parse(query)
 	sp.FinishErr(err)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	_, sp = obs.StartSpan(ctx, "plan", obs.CatPhase)
 	p, err := plan.NewPlanner(sysCatalog{d}, &conf.Planner).Plan(stmt)
 	sp.FinishErr(err)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	_, sp = obs.StartSpan(ctx, "optimize", obs.CatPhase)
 	err = optimizer.Apply(p, d.optimizerEnv(conf))
 	sp.FinishErr(err)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	_, sp = obs.StartSpan(ctx, "compile", obs.CatPhase)
 	compiled, err := compiler.Compile(p)
@@ -465,9 +519,42 @@ func (d *Driver) explainStaged(ctx context.Context, conf *Config, query string) 
 	}
 	sp.FinishErr(err)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return stmt, p, compiled, nil
+	prep.stmt, prep.plan, prep.compiled = stmt, p, compiled
+	prep.versions = map[string]int64{}
+	perTable := map[string]int64{}
+	p.Walk(func(n plan.Node) {
+		ts, ok := n.(*plan.TableScan)
+		if !ok {
+			return
+		}
+		meta, err := d.meta.Table(ts.Table)
+		if err != nil {
+			return // temp or sys table: no DFS bytes at admission time
+		}
+		prep.versions[ts.Table] = d.meta.Version(ts.Table)
+		bytes := d.logicalTableBytes(meta)
+		if ts.Part != nil {
+			bytes = ts.Part.SelBytes
+		}
+		perTable[ts.Table] = max(perTable[ts.Table], bytes)
+	})
+	for _, b := range perTable {
+		prep.ScanBytes += b
+	}
+	return prep, nil
+}
+
+// current reports whether no table the prepared plan scans has been
+// written since it was planned.
+func (d *Driver) current(prep *Prepared) bool {
+	for table, v := range prep.versions {
+		if d.meta.Version(table) != v {
+			return false
+		}
+	}
+	return true
 }
 
 // logicalTableBytes is the table's primary-replica on-disk size: for
@@ -567,120 +654,53 @@ func (d *Driver) TableStats(name string) (*stats.TableStats, bool) {
 	return d.meta.Stats().Derive(name, version, files)
 }
 
-// EstimateScanBytes returns the bytes the query will actually read from
-// base tables — each table counted once. The server's workload manager
-// uses it as the memory-admission estimate: a proxy for the query's
-// working set. The estimate is plan-based: the query is planned and
-// optimized so partition pruning applies, and a pruned scan charges only
-// its selected partitions' (primary-replica) bytes — a query over one
-// partition of a large table no longer reserves the whole table's worth of
-// pool memory and queues behind phantom budgets. Plans that don't optimize
-// (unknown tables, unparseable or DDL input) fall back to a parse-only sum
-// of referenced table sizes, or 0, so admission gates on slots alone.
-func (d *Driver) EstimateScanBytes(query string) int64 {
-	conf := d.Config()
-	if _, p, _, err := d.explainStaged(context.Background(), &conf, query); err == nil {
-		perTable := map[string]int64{}
-		p.Walk(func(n plan.Node) {
-			ts, ok := n.(*plan.TableScan)
-			if !ok {
-				return
-			}
-			var bytes int64
-			if ts.Part != nil {
-				bytes = ts.Part.SelBytes
-			} else if meta, err := d.meta.Table(ts.Table); err == nil {
-				bytes = d.logicalTableBytes(meta)
-			} else {
-				return // temp or sys table: no DFS bytes at admission time
-			}
-			// Several scans of one table (self-join, shared scan): charge
-			// the largest working set, not the sum — the data is read from
-			// the same files.
-			if bytes > perTable[ts.Table] {
-				perTable[ts.Table] = bytes
-			}
-		})
-		var total int64
-		for _, b := range perTable {
-			total += b
-		}
-		return total
-	}
-	return d.parseOnlyScanBytes(query)
-}
-
-// parseOnlyScanBytes is the pre-planning fallback estimate: the summed
-// on-disk (primary-replica) size of every referenced table.
-func (d *Driver) parseOnlyScanBytes(query string) int64 {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return 0
-	}
-	seen := map[string]bool{}
-	var total int64
-	var walk func(s *sql.SelectStmt)
-	ref := func(r sql.TableRef) {
-		if r.Subquery != nil {
-			walk(r.Subquery)
-			return
-		}
-		if r.Table == "" || seen[r.Table] {
-			return
-		}
-		seen[r.Table] = true
-		if meta, err := d.meta.Table(r.Table); err == nil {
-			total += d.logicalTableBytes(meta)
-		}
-	}
-	walk = func(s *sql.SelectStmt) {
-		if s == nil {
-			return
-		}
-		ref(s.From)
-		for _, j := range s.Joins {
-			ref(j.Right)
-		}
-	}
-	walk(stmt)
-	return total
-}
-
-// Run executes a query end to end.
+// Run executes a query end to end under the driver's configuration.
 func (d *Driver) Run(query string) (*Result, error) {
-	return d.RunContext(context.Background(), query)
+	return d.RunWith(context.Background(), d.Config(), query)
 }
 
-// RunContext executes a query end to end under a context: cancelling it
-// (or its deadline expiring) stops in-flight tasks, admission waits and
-// DFS reads, and the call returns ctx.Err(). This is the `\timeout` path
-// in the REPL and the query-cancellation story generally.
-//
-// The context is also the observability hook: a tracer installed with
-// obs.WithTracer receives query / phase / job / task / operator spans,
-// and an EXPLAIN or EXPLAIN ANALYZE prefix on the query turns the result
-// into a rendered (and, for ANALYZE, executed and profile-annotated)
-// plan tree.
-func (d *Driver) RunContext(ctx context.Context, query string) (*Result, error) {
-	return d.RunWith(ctx, d.Config(), query)
-}
-
-// RunWith is RunContext with an explicit configuration snapshot: the query
-// plans and executes under conf regardless of (and without racing) the
-// driver's current configuration. The server layer uses it to run many
-// sessions — each with its own engine and optimizer settings — through
-// one shared driver concurrently.
+// RunWith executes a query end to end under an explicit configuration
+// snapshot, so concurrent sessions with their own engine and optimizer
+// settings share one driver without racing its configuration. Cancelling
+// ctx stops in-flight tasks, admission waits and DFS reads (the call
+// returns ctx.Err()); a tracer installed with obs.WithTracer receives
+// query / phase / job / task / operator spans. An EXPLAIN or EXPLAIN
+// ANALYZE prefix turns the result into a rendered (for ANALYZE, executed
+// and profile-annotated) plan tree.
 func (d *Driver) RunWith(ctx context.Context, conf Config, query string) (*Result, error) {
-	res, _, _, err := d.runTracked(ctx, &conf, query, false)
+	res, _, _, err := d.runTracked(ctx, &conf, query, nil, false)
 	return res, err
 }
 
-// runTracked is the shared run path under query-history accounting: it
+// RunProfiledWith is RunWith that also returns the optimized plan and
+// per-operator profile — the programmatic face of EXPLAIN ANALYZE, used by
+// the REPL's \profile mode and by tests that reconcile operator numbers
+// against ExecStats.
+func (d *Driver) RunProfiledWith(ctx context.Context, conf Config, query string) (*Result, *plan.Plan, *obs.PlanProfile, error) {
+	res, p, prof, err := d.runTracked(ctx, &conf, query, nil, true)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return res, p, prof, nil
+}
+
+// Execute runs a prepared query under its configuration snapshot and
+// returns the result with the plan it ran and, when profiled (or traced),
+// the per-operator profile. If a table the plan scans has been written
+// since Prepare, the query is prepared again first, so a stale partition
+// list is never read. Each call is its own query-history record, charged
+// with Prepare's front-end time.
+func (d *Driver) Execute(ctx context.Context, prep *Prepared, profiled bool) (*Result, *plan.Plan, *obs.PlanProfile, error) {
+	return d.runTracked(ctx, &prep.conf, prep.query, prep, profiled)
+}
+
+// runTracked is the one run path, under query-history accounting: it
 // assigns the query id, opens the query span, decides tracing (a
 // caller-installed tracer is adopted; otherwise the history's 1-in-N
 // sampler may install one), runs the staged pipeline, and retires the
-// query into the history with its final state and byte/row tallies.
-func (d *Driver) runTracked(ctx context.Context, conf *Config, query string, profiled bool) (*Result, *plan.Plan, *obs.PlanProfile, error) {
+// query into the history with its final state and byte/row tallies. A nil
+// prep (RunWith) runs the front end inside the query's span and record.
+func (d *Driver) runTracked(ctx context.Context, conf *Config, query string, prep *Prepared, profiled bool) (*Result, *plan.Plan, *obs.PlanProfile, error) {
 	qid := d.queryID.Add(1)
 	h := d.History()
 	meta := sysdb.MetaFrom(ctx)
@@ -697,9 +717,12 @@ func (d *Driver) runTracked(ctx context.Context, conf *Config, query string, pro
 	start := time.Now()
 	ctx, qsp := obs.StartSpan(ctx, fmt.Sprintf("q%d", qid), obs.CatQuery)
 	qsp.SetAttr("engine", conf.Engine.String())
-	res, p, prof, err := d.runStaged(ctx, conf, qid, query, profiled, lq, h)
+	res, p, prof, err := d.runStaged(ctx, conf, qid, query, prep, profiled, lq, h)
 	qsp.FinishErr(err)
 	wall := time.Since(start)
+	if prep != nil {
+		wall += prep.frontEnd
+	}
 	d.queryHist.Load().ObserveDuration(wall)
 	if lq != nil {
 		o := sysdb.Outcome{Err: err, Wall: wall}
@@ -725,20 +748,20 @@ func (d *Driver) runTracked(ctx context.Context, conf *Config, query string, pro
 	return res, p, prof, err
 }
 
-func (d *Driver) runStaged(ctx context.Context, conf *Config, qid int64, query string, profiled bool, lq *sysdb.LiveQuery, h *sysdb.History) (*Result, *plan.Plan, *obs.PlanProfile, error) {
-	if ddl, isDDL, err := sql.MaybeDDL(query); isDDL {
-		if err != nil {
+func (d *Driver) runStaged(ctx context.Context, conf *Config, qid int64, query string, prep *Prepared, profiled bool, lq *sysdb.LiveQuery, h *sysdb.History) (*Result, *plan.Plan, *obs.PlanProfile, error) {
+	if prep == nil || !d.current(prep) {
+		var err error
+		if prep, err = d.prepare(ctx, conf, query); err != nil {
 			return nil, nil, nil, err
 		}
-		res, err := d.executeDDL(conf, ddl)
+	}
+	if prep.ddl != nil {
+		res, err := d.executeDDL(conf, prep.ddl)
 		return res, nil, nil, err
 	}
-	stmt, p, compiled, err := d.explainStaged(ctx, conf, query)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	stmt, p := prep.stmt, prep.plan
 	lq.SetPlan(planFingerprint(p), planEstRows(p))
-	if lq != nil && !lq.Traced() && h.SlowCandidate(d.planScanBytes(p)) {
+	if lq != nil && !lq.Traced() && h.SlowCandidate(prep.ScanBytes) {
 		// Slow-candidate pre-trace: the plan is about to scan enough bytes
 		// to plausibly cross the slow threshold, so install a tracer now.
 		// Parse/plan spans are already past — for a slow query the
@@ -758,30 +781,12 @@ func (d *Driver) runStaged(ctx context.Context, conf *Config, qid int64, query s
 		// retains it alongside the trace).
 		prof = obs.NewPlanProfile()
 	}
-	res, err := d.execute(ctx, conf, qid, p, compiled, prof)
+	res, err := d.execute(ctx, conf, qid, p, prep.compiled, prof)
 	if err != nil {
 		return nil, p, prof, err
 	}
 	if stmt.Explain && stmt.Analyze {
 		return analyzeResult(p, prof, res), p, prof, nil
-	}
-	return res, p, prof, nil
-}
-
-// RunProfiled executes a (plain) query and also returns its optimized
-// plan and per-operator profile — the programmatic face of EXPLAIN
-// ANALYZE, used by the REPL's \profile mode and by tests that reconcile
-// operator numbers against ExecStats.
-func (d *Driver) RunProfiled(ctx context.Context, query string) (*Result, *plan.Plan, *obs.PlanProfile, error) {
-	return d.RunProfiledWith(ctx, d.Config(), query)
-}
-
-// RunProfiledWith is RunProfiled under an explicit configuration snapshot
-// (the server's per-session \profile path).
-func (d *Driver) RunProfiledWith(ctx context.Context, conf Config, query string) (*Result, *plan.Plan, *obs.PlanProfile, error) {
-	res, p, prof, err := d.runTracked(ctx, &conf, query, true)
-	if err != nil {
-		return nil, nil, nil, err
 	}
 	return res, p, prof, nil
 }

@@ -136,7 +136,7 @@ func TestProfiledBytesReconcile(t *testing.T) {
 		return
 	}
 	const q = "SELECT sum(price) FROM sales WHERE qty < 3"
-	res, p, prof, err := d.RunProfiled(context.Background(), q)
+	res, p, prof, err := d.RunProfiledWith(context.Background(), d.Config(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestProfiledBytesReconcile(t *testing.T) {
 		t.Error("cold run read nothing from the DFS")
 	}
 
-	res, p, prof, err = d.RunProfiled(context.Background(), q)
+	res, p, prof, err = d.RunProfiledWith(context.Background(), d.Config(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTraceSpansCoverQuery(t *testing.T) {
 	d := newTestDriver(t, fileformat.Sequence, Config{})
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
-	if _, err := d.RunContext(ctx, "SELECT item_id, count(*) FROM sales WHERE qty < 3 GROUP BY item_id"); err != nil {
+	if _, err := d.RunWith(ctx, d.Config(), "SELECT item_id, count(*) FROM sales WHERE qty < 3 GROUP BY item_id"); err != nil {
 		t.Fatal(err)
 	}
 	spans := tr.Spans()
@@ -234,7 +234,7 @@ func TestTraceRecordsRetriedAttempts(t *testing.T) {
 	d, _ := faultDriver(t, ModeMapReduce, faultinject.Config{Seed: 7, TaskFailProb: 0.5})
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
-	res, p, prof, err := d.RunProfiled(ctx, "SELECT k, count(*) FROM t GROUP BY k")
+	res, p, prof, err := d.RunProfiledWith(ctx, d.Config(), "SELECT k, count(*) FROM t GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}

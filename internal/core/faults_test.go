@@ -194,7 +194,7 @@ func TestQueryTimeoutNoGoroutineLeak(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 			defer cancel()
-			_, err := d.RunContext(ctx, "SELECT k, sum(v) FROM t GROUP BY k")
+			_, err := d.RunWith(ctx, d.Config(), "SELECT k, sum(v) FROM t GROUP BY k")
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 			}
@@ -228,7 +228,7 @@ func TestCancelledQueryLeavesNoTempFiles(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, err := d.RunContext(ctx, "SELECT k, sum(v) FROM t GROUP BY k"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := d.RunWith(ctx, d.Config(), "SELECT k, sum(v) FROM t GROUP BY k"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	// Give aborts a moment to finish, then look for leftover query temps.

@@ -196,7 +196,7 @@ func TestSharedHashTableBuiltOncePerQuery(t *testing.T) {
 	for _, vec := range []bool{false, true} {
 		t.Run(fmt.Sprintf("vectorize=%v", vec), func(t *testing.T) {
 			d := starDriver(t, mapJoinConf(vec))
-			_, p, prof, err := d.RunProfiled(context.Background(), mapJoinQueries[3])
+			_, p, prof, err := d.RunProfiledWith(context.Background(), d.Config(), mapJoinQueries[3])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +224,7 @@ func TestLLAPBuildCacheAcrossQueries(t *testing.T) {
 	d := starDriver(t, conf)
 	q := mapJoinQueries[4]
 
-	_, p, prof, err := d.RunProfiled(context.Background(), q)
+	_, p, prof, err := d.RunProfiledWith(context.Background(), d.Config(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestLLAPBuildCacheAcrossQueries(t *testing.T) {
 		t.Fatalf("cold run did not build (builds=%d cached=%d)", builds, cached)
 	}
 
-	res, p2, prof2, err := d.RunProfiled(context.Background(), q)
+	res, p2, prof2, err := d.RunProfiledWith(context.Background(), d.Config(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestLLAPBuildCacheAcrossQueries(t *testing.T) {
 
 	// A write to the small table must invalidate its cached builds.
 	d.noteTableWrite("dim1")
-	res3, p3, prof3, err := d.RunProfiled(context.Background(), q)
+	res3, p3, prof3, err := d.RunProfiledWith(context.Background(), d.Config(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fileformat"
 	"repro/internal/mapred"
 	"repro/internal/optimizer"
+	"repro/internal/plan"
 	"repro/internal/types"
 )
 
@@ -366,5 +367,56 @@ func TestSysPartitionsTable(t *testing.T) {
 	}
 	if res.Rows[2][1] != "ds=2014-01-03" || res.Rows[2][3] != int64(4) {
 		t.Fatalf("unexpected sys.partitions row: %v", res.Rows[2])
+	}
+}
+
+// TestPreparedQueryReplansAfterWrite: a pruned plan freezes its partition
+// list, so executing a Prepared after a write to the scanned table must
+// plan again and return what a fresh run does — here the rows of two
+// partitions the write added.
+func TestPreparedQueryReplansAfterWrite(t *testing.T) {
+	d, _ := pruneDriver(t, Config{Opt: optimizer.AllOn()})
+	q := `SELECT ds, uid, qty FROM sales WHERE ds >= '2014-01-07'`
+	prep, err := d.Prepare(t.Context(), d.Config(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := false
+	prep.plan.Walk(func(n plan.Node) {
+		if ts, ok := n.(*plan.TableScan); ok && ts.Part != nil && len(ts.Part.Selected) == 2 {
+			pruned = true
+		}
+	})
+	if !pruned {
+		t.Fatal("prepared scan is not pruned to 2 partitions")
+	}
+
+	// Reload with ten days instead of eight.
+	l, err := d.Loader("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if err := l.Write(types.Row{fmt.Sprintf("2014-01-%02d", i%10+1), int64(i % 40), int64(i % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, _, _, err := d.Execute(t.Context(), prep, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.RunWith(t.Context(), d.Config(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) != 400 {
+		t.Fatalf("fresh run = %d rows, want 400 (days 07-10)", len(want.Rows))
+	}
+	if !reflect.DeepEqual(sortedRows(got.Rows), sortedRows(want.Rows)) {
+		t.Fatalf("stale prepared run = %d rows, fresh run = %d", len(got.Rows), len(want.Rows))
 	}
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // sysCatalog resolves sys.* names to their virtual schemas and everything
-// else to the metastore; explainStaged plans against it.
+// else to the metastore; the front end (Driver.prepare) plans against it.
 type sysCatalog struct{ d *Driver }
 
 func (c sysCatalog) TableSchema(name string) (*types.Schema, error) {
@@ -303,23 +303,4 @@ func planEstRows(p *plan.Plan) int64 {
 		}
 	}
 	return -1
-}
-
-// planScanBytes sums the on-disk size of every distinct base table the
-// optimized plan scans — the slow-candidate pre-trace signal, available
-// after planning but before execution.
-func (d *Driver) planScanBytes(p *plan.Plan) int64 {
-	seen := map[string]bool{}
-	var total int64
-	p.Walk(func(n plan.Node) {
-		ts, ok := n.(*plan.TableScan)
-		if !ok || seen[ts.Table] {
-			return
-		}
-		seen[ts.Table] = true
-		if meta, err := d.meta.Table(ts.Table); err == nil {
-			total += d.fs.TotalSize(meta.Path)
-		}
-	})
-	return total
 }

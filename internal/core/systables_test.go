@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dfs"
 	"repro/internal/fileformat"
+	"repro/internal/mapred"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/sysdb"
@@ -227,7 +229,7 @@ func TestCallerTracerAdopted(t *testing.T) {
 	defer d.Close()
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
-	if _, err := d.RunContext(ctx, "SELECT count(*) FROM items"); err != nil {
+	if _, err := d.RunWith(ctx, d.Config(), "SELECT count(*) FROM items"); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := d.History().Last()
@@ -284,5 +286,58 @@ func TestHistoryStatsInRegistry(t *testing.T) {
 	runQ(t, d, "SELECT count(*) FROM items")
 	if got := d.Registry().Snapshot().Get("sysdb.Recorded"); got != 1 {
 		t.Fatalf("sysdb.Recorded = %d, want 1", got)
+	}
+}
+
+// TestSlowPreTraceChargesPrimaryReplica: the slow-candidate pre-trace reads
+// the one scan-byte estimate, which charges a REPLICATED BY table its
+// primary-replica bytes — not the divergent `.rN` copies beside them. A
+// threshold between the primary bytes and the on-disk total must not
+// pre-trace; one at the primary bytes must.
+func TestSlowPreTraceChargesPrimaryReplica(t *testing.T) {
+	traced := func(threshold func(primary, onDisk int64) int64) bool {
+		t.Helper()
+		fs := dfs.New(dfs.WithBlockSize(1 << 20))
+		d := NewDriver(fs, mapred.NewEngine(mapred.Config{Slots: 2}), Config{})
+		defer d.Close()
+		schema := types.NewSchema(
+			types.Col("k", types.Primitive(types.Long)),
+			types.Col("v", types.Primitive(types.Long)),
+		)
+		l, err := d.CreateTableSpec("logs", schema, fileformat.ORC, nil, &PartitionSpec{ReplicaLayouts: []string{"k", "v"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			if err := l.Write(types.Row{int64(i % 13), int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		meta, _ := d.meta.Table("logs")
+		primary, onDisk := d.logicalTableBytes(meta), fs.TotalSize(meta.Path)
+		if primary <= 0 || onDisk <= primary {
+			t.Fatalf("fixture: primary %d bytes of %d on disk; want replica copies on disk", primary, onDisk)
+		}
+		// The history is built on the first query, so this is its config.
+		conf := d.Config()
+		conf.History = sysdb.Config{SampleEvery: -1, SlowWall: time.Nanosecond, SlowBytes: threshold(primary, onDisk)}
+		d.SetConfig(conf)
+		runQ(t, d, "SELECT COUNT(*) FROM logs")
+		rec, ok := d.History().Last()
+		if !ok {
+			t.Fatal("no history record")
+		}
+		// SlowWall of 1ns retains every traced run, so Traced says whether
+		// the pre-trace installed a tracer.
+		return rec.Traced
+	}
+	if traced(func(primary, onDisk int64) int64 { return (primary + onDisk) / 2 }) {
+		t.Error("pre-traced a query whose primary bytes are under SlowBytes: replica copies were counted")
+	}
+	if !traced(func(primary, onDisk int64) int64 { return primary }) {
+		t.Error("query at SlowBytes was not pre-traced")
 	}
 }

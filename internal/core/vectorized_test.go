@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dfs"
@@ -165,5 +166,55 @@ func TestVectorizedReducesCPU(t *testing.T) {
 	}
 	if vecCPU >= rowCPU {
 		t.Logf("warning: vectorized CPU %d >= row CPU %d at this tiny scale", vecCPU, rowCPU)
+	}
+}
+
+// TestSumAvgRejectNonNumeric: SUM and AVG over a BOOLEAN or string
+// argument fail at plan time under both the row and the vectorized
+// configuration (the engines used to fold BOOLEAN differently: row mode
+// added 0, vexec 0/1), while COUNT/MIN/MAX over BOOLEAN still agree.
+func TestSumAvgRejectNonNumeric(t *testing.T) {
+	schema := types.NewSchema(
+		types.Col("k", types.Primitive(types.Long)),
+		types.Col("b", types.Primitive(types.Boolean)),
+		types.Col("s", types.Primitive(types.String)),
+	)
+	var want [][]types.Row
+	for _, conf := range []Config{{}, {Opt: optimizer.Options{Vectorize: true}}} {
+		d := NewDriver(dfs.New(), mapred.NewEngine(mapred.Config{Slots: 2}), conf)
+		l, err := d.CreateTable("t", schema, fileformat.ORC, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			if err := l.Write(types.Row{int64(i % 3), i%4 == 0, fmt.Sprint(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{
+			"SELECT SUM(b) FROM t",
+			"SELECT k, AVG(b) FROM t GROUP BY k",
+			"SELECT SUM(k > 1) FROM t",
+			"SELECT AVG(s) FROM t",
+		} {
+			if _, err := d.Run(q); err == nil || !strings.Contains(err.Error(), "want a numeric type") {
+				t.Errorf("vectorize=%v %s: err = %v, want a plan-time type error", conf.Opt.Vectorize, q, err)
+			}
+		}
+		var got []types.Row
+		for _, q := range []string{
+			"SELECT k, COUNT(b), MIN(b), MAX(b) FROM t GROUP BY k ORDER BY k",
+			"SELECT SUM(k), AVG(k) FROM t WHERE b",
+		} {
+			got = append(got, runQ(t, d, q).Rows...)
+		}
+		want = append(want, got)
+		d.Close()
+	}
+	if !reflect.DeepEqual(want[0], want[1]) {
+		t.Fatalf("row and vectorized engines disagree:\n row %v\nvec %v", want[0], want[1])
 	}
 }

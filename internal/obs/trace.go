@@ -208,7 +208,7 @@ const (
 	spanKey
 )
 
-// WithTracer returns a context carrying t; Driver.RunContext and the
+// WithTracer returns a context carrying t; Driver.RunWith and the
 // engine pick it up from there.
 func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	if t == nil {

@@ -377,6 +377,12 @@ func (pl *Planner) planGroupBy(p *Plan, stmt *sql.SelectStmt, top Node, aggExprs
 			if err != nil {
 				return nil, nil, fmt.Errorf("plan: aggregate %s: %w", f, err)
 			}
+			// SUM and AVG take numeric arguments only, as in Hive; the row
+			// and vectorized engines would otherwise each fold a BOOLEAN
+			// (or string) their own way.
+			if k := arg.Kind(); (fn == AggSum || fn == AggAvg) && !k.IsInteger() && !k.IsFloating() {
+				return nil, nil, fmt.Errorf("plan: aggregate %s: argument is %s, want a numeric type", f, k)
+			}
 			desc.Arg = arg
 		}
 		info.aggIdx[text] = len(keys) + len(descs)

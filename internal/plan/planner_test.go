@@ -193,6 +193,8 @@ func TestPlanErrors(t *testing.T) {
 		"SELECT name FROM big1 a JOIN big2 b ON a.key > b.key", // no equi key
 		"SELECT frobnicate(name) FROM t",                       // unknown function
 		"SELECT t.name FROM t JOIN t ON t.key = t.key",         // ambiguous alias
+		"SELECT avg(name) FROM t",                              // non-numeric AVG
+		"SELECT sum(key > 1) FROM t",                           // BOOLEAN SUM
 	}
 	for _, src := range bad {
 		stmt, err := sql.Parse(src)

@@ -15,6 +15,8 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/fileformat"
 	"repro/internal/mapred"
+	"repro/internal/obs"
+	"repro/internal/optimizer"
 	"repro/internal/types"
 )
 
@@ -245,8 +247,9 @@ func TestPreemptedQueryRequeuesAndCompletes(t *testing.T) {
 
 	batchDone := make(chan error, 1)
 	var batchRows []string
+	tr := obs.NewTracer()
 	go func() {
-		res, err := bs.Run(context.Background(), batchQ)
+		res, err := bs.Run(obs.WithTracer(context.Background(), tr), batchQ)
 		if err == nil {
 			batchRows = renderRows(res)
 		}
@@ -306,27 +309,166 @@ func TestPreemptedQueryRequeuesAndCompletes(t *testing.T) {
 			t.Fatalf("batch pool preempted = %d, want 1", st.Preempted)
 		}
 	}
+	// Planned once: both attempts ran the plan prepared before admission.
+	phases := map[string]int{}
+	queries := 0
+	for _, sp := range tr.Spans() {
+		switch sp.Cat {
+		case obs.CatPhase:
+			phases[sp.Name]++
+		case obs.CatQuery:
+			queries++
+		}
+	}
+	if queries != 2 {
+		t.Fatalf("query spans = %d, want 2 (the preempted attempt and its requeue)", queries)
+	}
+	for _, name := range []string{"parse", "plan", "optimize", "compile"} {
+		if phases[name] != 1 {
+			t.Errorf("%s spans = %d across both attempts, want 1", name, phases[name])
+		}
+	}
+	// Each attempt is still its own history record, and each record's
+	// Total covers the shared front end, its queue wait and its run.
+	var states []string
+	for _, rec := range d.History().Records() {
+		if rec.Session != bs.ID() {
+			continue
+		}
+		states = append(states, rec.State)
+		if rec.Total != rec.QueueWait+rec.Wall || rec.Wall <= 0 {
+			t.Errorf("record %d: total %v, queue %v, wall %v", rec.ID, rec.Total, rec.QueueWait, rec.Wall)
+		}
+	}
+	if fmt.Sprint(states) != "[preempted ok]" {
+		t.Errorf("batch session records = %v, want [preempted ok]", states)
+	}
 }
 
-// TestEstimateScanBytes: the admission estimate sums referenced tables once
-// each and degrades to 0 for unknown tables or unparseable text.
-func TestEstimateScanBytes(t *testing.T) {
-	d := newTestDriver(t, core.Config{})
+// TestPreparedScanBytes pins the one scan-byte estimator (admission and
+// slow-query pre-trace): each base table charged once at its largest scan,
+// pruned scans at their selected partitions, replicated tables at their
+// primary-replica bytes; a query that cannot plan has no estimate at all.
+func TestPreparedScanBytes(t *testing.T) {
+	d := newTestDriver(t, core.Config{DefaultFormat: fileformat.ORC, Opt: optimizer.Options{PartitionPruning: true}})
 	defer d.Close()
-	sales := d.EstimateScanBytes("SELECT COUNT(*) FROM sales")
-	items := d.EstimateScanBytes("SELECT COUNT(*) FROM items")
+	for _, ddl := range []string{
+		"CREATE TABLE ev (ds string, v bigint) PARTITIONED BY (ds) STORED AS orc",
+		"CREATE TABLE rep (k bigint, v bigint) REPLICATED BY (k, v) STORED AS orc",
+	} {
+		if _, err := d.Run(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load := func(name string, row func(i int) types.Row) {
+		l, err := d.Loader(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 400; i++ {
+			if err := l.Write(row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load("ev", func(i int) types.Row { return types.Row{fmt.Sprintf("d%d", i%4), int64(i)} })
+	load("rep", func(i int) types.Row { return types.Row{int64(i % 7), int64(i)} })
+
+	var evDay1, repPrimary int64
+	for _, pi := range d.Metastore().Partitions("ev") {
+		if pi.Key == "ds=d1" {
+			evDay1 = pi.Bytes
+		}
+	}
+	for _, pi := range d.Metastore().Partitions("rep") {
+		repPrimary += pi.Bytes
+	}
+	repMeta, err := d.Metastore().Table("rep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evDay1 <= 0 || repPrimary <= 0 || d.FS().TotalSize(repMeta.Path) <= repPrimary {
+		t.Fatalf("layout fixture: ds=d1 %d bytes, rep primary %d of %d on disk", evDay1, repPrimary, d.FS().TotalSize(repMeta.Path))
+	}
+	scanBytes := func(q string) int64 {
+		t.Helper()
+		prep, err := d.Prepare(context.Background(), d.Config(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return prep.ScanBytes
+	}
+	sales := scanBytes("SELECT COUNT(*) FROM sales")
+	items := scanBytes("SELECT COUNT(*) FROM items")
 	if sales <= 0 || items <= 0 {
 		t.Fatalf("table estimates sales=%d items=%d, want > 0", sales, items)
 	}
-	join := d.EstimateScanBytes("SELECT name FROM sales s JOIN items i ON s.item_id = i.id")
-	if join != sales+items {
-		t.Fatalf("join estimate %d, want sales+items=%d", join, sales+items)
+	for _, c := range []struct {
+		name, query string
+		want        int64
+	}{
+		{"join", "SELECT name FROM sales s JOIN items i ON s.item_id = i.id", sales + items},
+		{"self-join charges the max", "SELECT a.qty FROM sales a JOIN sales b ON a.item_id = b.item_id", sales},
+		{"pruned scan", "SELECT v FROM ev WHERE ds = 'd1'", evDay1},
+		{"replicated table counts the primary", "SELECT v FROM rep", repPrimary},
+		{"sys table charges nothing", "SELECT COUNT(*) FROM sys.queries", 0},
+	} {
+		if got := scanBytes(c.query); got != c.want {
+			t.Errorf("%s: ScanBytes = %d, want %d", c.name, got, c.want)
+		}
 	}
-	if got := d.EstimateScanBytes("SELECT * FROM nosuch"); got != 0 {
-		t.Fatalf("unknown table estimate %d, want 0", got)
+	for _, q := range []string{"SELECT v FROM nosuch", "SELECT * FROM nosuch", "not sql"} {
+		if prep, err := d.Prepare(context.Background(), d.Config(), q); err == nil {
+			t.Errorf("%q prepared (ScanBytes %d), want an error", q, prep.ScanBytes)
+		}
 	}
-	if got := d.EstimateScanBytes("not sql"); got != 0 {
-		t.Fatalf("parse-error estimate %d, want 0", got)
+}
+
+// TestUnplannableQueryNeverAdmitted: a query that fails to plan returns
+// the planner's error without entering admission, and still leaves one
+// failed history record labelled with its session.
+func TestUnplannableQueryNeverAdmitted(t *testing.T) {
+	d := newTestDriver(t, core.Config{})
+	defer d.Close()
+	srv := New(d, ManagerConfig{Pools: []PoolConfig{{Name: "p"}}})
+	defer srv.Close()
+	sess, err := srv.OpenSession("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := func() (admitted int64, queued int) {
+		for _, st := range srv.Manager().Stats() {
+			admitted += st.Admitted
+			queued += st.Queued
+		}
+		return
+	}
+	// The dialect has no SELECT *, so the first query fails in the parser
+	// and the second in the planner; neither may take a slot.
+	for _, c := range []struct{ query, errWant string }{
+		{"SELECT * FROM nosuch", "parse error"},
+		{"SELECT v FROM nosuch", `"nosuch" does not exist`},
+	} {
+		admitted0, queued0 := counters()
+		recs0 := d.History().Total()
+		_, err := sess.Run(context.Background(), c.query)
+		if err == nil || !strings.Contains(err.Error(), c.errWant) {
+			t.Fatalf("%s: err = %v, want %q", c.query, err, c.errWant)
+		}
+		if admitted, queued := counters(); admitted != admitted0 || queued != queued0 {
+			t.Fatalf("%s: admitted %d->%d, queued %d->%d: an unplannable query entered admission",
+				c.query, admitted0, admitted, queued0, queued)
+		}
+		if n := d.History().Total() - recs0; n != 1 {
+			t.Fatalf("%s: history records added = %d, want 1", c.query, n)
+		}
+		rec, _ := d.History().Last()
+		if rec.State != "failed" || rec.Session != sess.ID() || rec.Query != c.query {
+			t.Fatalf("%s: record = %+v, want one failed record for the session's query", c.query, rec)
+		}
 	}
 }
 

@@ -113,43 +113,40 @@ func (s *Session) run(ctx context.Context, query string, profiled bool) (*core.R
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("%w: %q", ErrNoPool, poolName)
 	}
-	mem := d.EstimateScanBytes(query)
+	// Label the query's history records with who ran it; Classify turns a
+	// workload-manager preemption — indistinguishable from a plain
+	// cancellation inside the driver — into state "preempted" (each
+	// preempted attempt is its own record; the requeued attempt finishes
+	// as "ok").
+	meta := sysdb.Meta{
+		Session: s.id,
+		Pool:    poolName,
+		Tenant:  s.id,
+		Classify: func(err, cause error) string {
+			if errors.Is(cause, ErrPreempted) {
+				return "preempted"
+			}
+			return ""
+		},
+	}
+	// Plan once, before admission: a query that cannot plan never takes a
+	// slot, and every attempt (requeues included) reuses the Prepared.
+	prep, err := d.Prepare(sysdb.WithMeta(ctx, meta), conf, query)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	for attempt := 0; ; attempt++ {
 		preemptable := pc.Preemptable && attempt < pc.MaxRequeues
-		t, err := s.srv.wm.Acquire(ctx, poolName, mem, preemptable)
+		t, err := s.srv.wm.Acquire(ctx, poolName, prep.ScanBytes, preemptable)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		qctx, cancel := context.WithCancelCause(llap.WithTenant(ctx, s.id))
 		t.SetCancel(cancel)
-		// Label the query's history record with who ran it and what it
-		// cost to admit; Classify turns a workload-manager preemption —
-		// indistinguishable from a plain cancellation inside the driver —
-		// into state "preempted" (each preempted attempt is its own
-		// record; the requeued attempt finishes as "ok").
-		qctx = sysdb.WithMeta(qctx, sysdb.Meta{
-			Session:     s.id,
-			Pool:        poolName,
-			Tenant:      s.id,
-			QueueWait:   t.Wait(),
-			Preemptions: s.preempted.Load(),
-			Classify: func(err, cause error) string {
-				if errors.Is(cause, ErrPreempted) {
-					return "preempted"
-				}
-				return ""
-			},
-		})
-		var (
-			res  *core.Result
-			p    *plan.Plan
-			prof *obs.PlanProfile
-		)
-		if profiled {
-			res, p, prof, err = d.RunProfiledWith(qctx, conf, query)
-		} else {
-			res, err = d.RunWith(qctx, conf, query)
-		}
+		meta.QueueWait = t.Wait()
+		meta.Preemptions = s.preempted.Load()
+		qctx = sysdb.WithMeta(qctx, meta)
+		res, p, prof, err := d.Execute(qctx, prep, profiled)
 		t.Release()
 		wasPreempted := errors.Is(context.Cause(qctx), ErrPreempted)
 		cancel(nil)

@@ -190,7 +190,7 @@ func (m *Manager) Pool(name string) (PoolConfig, bool) {
 
 // Acquire admits one query into the named pool, waiting in the pool's
 // bounded queue when no slot (or memory) is free. mem is the query's
-// estimated memory footprint (Driver.EstimateScanBytes). preemptable marks
+// estimated memory footprint (core.Prepared.ScanBytes). preemptable marks
 // the resulting ticket as a legal preemption victim; it only takes effect
 // in pools configured Preemptable. The returned Ticket must be Released.
 func (m *Manager) Acquire(ctx context.Context, poolName string, mem int64, preemptable bool) (*Ticket, error) {

@@ -58,6 +58,13 @@ func ManifestPath(tablePath string) string { return tablePath + "/_manifest" }
 // tableState serializes manifest mutations for one table. The cached
 // *Manifest is treated as immutable once set: mutators clone, publish the
 // clone to the DFS, then swap the cache.
+//
+// Lock order: a committing Txn.mu, then tableState.mu, then dfs.FS.mu,
+// then a DFS file's mu. mu is held across the manifest's fs.WriteAtomic
+// and, in a compaction publish, across fs.Rename and fs.Remove; those take
+// FS.mu and then file locks, and the dfs never calls back into txn, so no
+// holder of an FS or file lock waits on mu. TestTableLockOrder races
+// commits and compactions against List, TotalSize and Rename under -race.
 type tableState struct {
 	info TableInfo
 	mu   sync.Mutex

@@ -5,7 +5,10 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/faultinject"
@@ -496,5 +499,100 @@ func TestManifestAdoptedAcrossManagers(t *testing.T) {
 	}
 	if got := readKeys(t, m2, v); !eqKeys(got, wantKeys([2]int{0, 10})) {
 		t.Fatalf("restarted manager sees %v, want 0..9", got)
+	}
+}
+
+// TestTableLockOrder races commits and compaction publishes, which hold
+// tableState.mu across dfs WriteAtomic, Rename and Remove, against List,
+// TotalSize and Rename on the same table directory. A lock-order inversion
+// deadlocks, so the race runs under a deadline; afterwards every committed
+// row must be visible exactly once.
+func TestTableLockOrder(t *testing.T) {
+	m, fs := newTestManager(t)
+	const writers, commits, rowsPer = 2, 40, 5
+	errs := make(chan error, writers+2)
+	var writing sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for c := 0; c < commits; c++ {
+				base := (w*commits + c) * rowsPer
+				tx := m.Begin()
+				for i := base; i < base+rowsPer; i++ {
+					if err := tx.Write("t", types.Row{int64(i), "v"}); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	var stop atomic.Bool
+	var compacted atomic.Int64
+	var others sync.WaitGroup
+	others.Add(2)
+	go func() { // compactor: minor and major publishes while commits land
+		defer others.Done()
+		for i := 0; !stop.Load() || compacted.Load() == 0; i++ {
+			res, err := m.Compact("t", CompactOptions{Major: i%4 == 3})
+			if err != nil {
+				errs <- err
+				return
+			}
+			if res.Compacted {
+				compacted.Add(1)
+			}
+		}
+	}()
+	go func() { // walker: namespace scans and renames inside the table dir
+		defer others.Done()
+		for i := 0; !stop.Load(); i++ {
+			fs.List("/warehouse/t")
+			fs.TotalSize("/warehouse/t")
+			name := fmt.Sprintf("/warehouse/t/_walk-%d", i)
+			w, err := fs.Create(name + ".tmp")
+			if err != nil {
+				errs <- err
+				return
+			}
+			w.Write([]byte("x"))
+			w.Close()
+			if err := fs.Rename(name+".tmp", name); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		writing.Wait()
+		stop.Store(true)
+		others.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case err := <-errs:
+		t.Fatal(err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("commits and compactions racing List/TotalSize/Rename did not finish: lock-order deadlock")
+	}
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	t.Logf("%d compactions published during the race", compacted.Load())
+	v, err := m.ResolveView("t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readKeys(t, m, v); !eqKeys(got, wantKeys([2]int{0, writers * commits * rowsPer})) {
+		t.Fatalf("after the race: %d keys visible, want %d", len(got), writers*commits*rowsPer)
 	}
 }
