@@ -1,30 +1,36 @@
 GO ?= go
 
-.PHONY: check vet build test race race-core bench-llap bench-join bench-cbo bench-concurrency bench-acid bench-ops bench-prune faults difftest obs
+.PHONY: check fmt vet build test race race-core bench-llap bench-join bench-cbo bench-concurrency bench-acid bench-ops bench-prune faults difftest obs
 
 # check is the tier-1 gate plus the targeted race pass: everything a PR
-# must pass. `make race` remains the full-repo race sweep. The bench steps
-# build and run the nil-tracer, vectorized map-join and vectorized
-# group-by benchmarks once (smokes that the disabled-tracing fast path, the
-# pooled join pipeline and the typed hash aggregation keep compiling and
+# must pass. `make race` remains the full-repo race sweep. fmt fails when
+# any file is not gofmt-clean. The bench steps build and run the
+# nil-tracer, vectorized map-join, vectorized group-by, shuffle-sort and
+# reduce-side join benchmarks once (smokes that the disabled-tracing fast
+# path, the pooled join pipeline, the typed hash aggregation, the
+# reduce-side sort and the borrowed-row reduce tree keep compiling and
 # running; no timing assertion — compare ns/op manually with
-# `go test -bench . ./internal/obs` / `./internal/vexec`). TestDeterminism
+# `go test -bench . ./internal/obs` / `./internal/vexec` /
+# `./internal/mapred` / `./internal/exec`). TestDeterminism
 # runs three times (same seed, same verdicts and execution counts), as do
 # the timing-dependent server preemption-requeue test and the stale
-# prepared-plan test; the dfs and txn lock-order regressions run under
-# -race. The last step is a tiny E14
+# prepared-plan test; the dfs and txn lock-order regressions and the llap
+# cache-tier invalidation race run under -race. The last step is a tiny E14
 # run: a mixed interactive+batch client population through the
 # multi-tenant server, checking concurrent results stay byte-identical to
 # serial.
-check: vet build test race-core
+check: fmt vet build test race-core
 	$(GO) test -run=NONE -bench=BenchmarkNilTracer -benchtime=1x ./internal/obs
 	$(GO) test -run=NONE -bench=BenchmarkVectorizedMapJoin -benchtime=1x ./internal/vexec
 	$(GO) test -run=NONE -bench=BenchmarkVectorizedHashAgg -benchtime=1x ./internal/vexec
+	$(GO) test -run=NONE -bench=BenchmarkShuffleSort -benchtime=1x ./internal/mapred
+	$(GO) test -run=NONE -bench=BenchmarkReduceSideJoin -benchtime=1x ./internal/exec
 	$(GO) test -run=TestDeterminism -count=3 ./internal/qcheck
 	$(GO) test -run=TestPreemptedQueryRequeuesAndCompletes -count=3 ./internal/server
 	$(GO) test -run=TestPreparedQueryReplansAfterWrite -count=3 ./internal/core
 	$(GO) test -race -run=TestWriteListLockOrder -count=1 ./internal/dfs
 	$(GO) test -race -run=TestTableLockOrder -count=1 ./internal/txn
+	$(GO) test -race -run=TestInvalidateRacesCacheTiers -count=1 ./internal/llap
 	$(GO) test -run=TestConcurrencyShape -count=1 ./internal/bench
 	$(GO) test -run=TestACIDShape -count=1 ./internal/bench
 	$(GO) test -run=TestCBOShape -count=1 ./internal/bench
@@ -44,6 +50,9 @@ check: vet build test race-core
 # passes that prune the layout those splits come from).
 race-core:
 	$(GO) test -race ./internal/qcheck ./internal/core ./internal/server ./internal/txn ./internal/mapred ./internal/vexec ./internal/vector ./internal/obs ./internal/dfs ./internal/llap ./internal/stats ./internal/sysdb ./internal/exec ./internal/optimizer
+
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -45,8 +45,8 @@ type ObsReport struct {
 	// Span census over the whole trace (cold + warm + faulted).
 	SpanCounts  map[string]int // by category
 	TaskSpans   int
-	RetrySpans  int // task spans with attempt > 0
-	SpecSpans   int // task spans flagged speculative
+	RetrySpans  int    // task spans with attempt > 0
+	SpecSpans   int    // task spans flagged speculative
 	TraceWrites string // path the trace was written to, "" if none
 }
 

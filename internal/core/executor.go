@@ -694,6 +694,9 @@ func (ex *executor) runReduceTask(task *compiler.Task, tc *mapred.TaskContext, t
 	if err := entry.Init(ctx); err != nil {
 		return err
 	}
+	// Every record decodes into one reused row: the reduce tree only
+	// borrows it for the length of Process (DESIGN.md §16).
+	var row types.Row
 	var entryStart time.Time
 	if entryStats != nil {
 		entryStart = time.Now()
@@ -716,7 +719,7 @@ func (ex *executor) runReduceTask(task *compiler.Task, tc *mapred.TaskContext, t
 			if !ok {
 				return fmt.Errorf("core: shuffle record with unknown tag %d", rec.Tag)
 			}
-			row, err := exec.DecodeRow(schema, rec.Value)
+			row, err = exec.DecodeRowInto(schema, rec.Value, row)
 			if err != nil {
 				return err
 			}

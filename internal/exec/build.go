@@ -42,7 +42,7 @@ func (b *Builder) Build(n plan.Node) (Operator, error) {
 			if err != nil {
 				return nil, err
 			}
-			withKids.kids().children = append(withKids.kids().children, childRef{
+			withKids.kids().addChild(childRef{
 				op:  b.tap(childNode, childOp),
 				tag: parentIndex(childNode, n),
 			})
@@ -93,23 +93,12 @@ func (b *Builder) construct(n plan.Node) (Operator, error) {
 		}
 		return op, nil
 	case *plan.Demux:
-		op := &demuxOp{node: t}
-		for _, childNode := range t.Children {
-			childOp, err := b.Build(childNode)
-			if err != nil {
-				return nil, err
-			}
-			op.children = append(op.children, childRef{op: b.tap(childNode, childOp)})
-		}
-		return op, nil
+		return &demuxOp{node: t}, nil
 	case *plan.TableScan:
 		return nil, fmt.Errorf("exec: TableScan %s must be driven by the task runner, not built", t.Label())
 	}
 	return nil, fmt.Errorf("exec: no runtime for operator %T", n)
 }
-
-// demuxOp builds its own children in construct (it indexes them by
-// position), so it bypasses the generic wiring.
 
 // BuildMapChain builds the runtime consumers of a TableScan: one operator
 // per scan child, each row pushed to all of them.

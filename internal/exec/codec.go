@@ -39,27 +39,52 @@ func BucketFor(vals []any, n int) (int, error) {
 // SQL order. NULLs sort first (ascending). desc may be nil (all ascending)
 // or hold one flag per key; descending parts are bitwise-inverted.
 func EncodeKey(vals []any, desc []bool) ([]byte, error) {
-	var out []byte
+	return appendKey(nil, vals, desc)
+}
+
+// appendKey appends EncodeKey's encoding of vals to out.
+func appendKey(out []byte, vals []any, desc []bool) ([]byte, error) {
 	for i, v := range vals {
-		start := len(out)
-		switch x := v.(type) {
-		case nil:
-			out = AppendKeyNull(out)
-		case int64:
-			out = AppendKeyLong(out, x)
-		case float64:
-			out = AppendKeyDouble(out, x)
-		case bool:
-			out = AppendKeyBool(out, x)
-		case string:
-			out = AppendKeyString(out, x)
-		default:
-			return nil, fmt.Errorf("exec: cannot encode key value of type %T", v)
+		var err error
+		if out, err = appendKeyPart(out, v, desc != nil && desc[i]); err != nil {
+			return nil, err
 		}
-		if desc != nil && desc[i] {
-			for j := start; j < len(out); j++ {
-				out[j] = ^out[j]
-			}
+	}
+	return out, nil
+}
+
+// appendKeyExprs evaluates exprs over row and appends their ascending key
+// encoding to out, without collecting the values first.
+func appendKeyExprs(out []byte, exprs []plan.Expr, row types.Row) ([]byte, error) {
+	for _, e := range exprs {
+		var err error
+		if out, err = appendKeyPart(out, e.Eval(row), false); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// appendKeyPart appends one key part, bitwise-inverted when desc.
+func appendKeyPart(out []byte, v any, desc bool) ([]byte, error) {
+	start := len(out)
+	switch x := v.(type) {
+	case nil:
+		out = AppendKeyNull(out)
+	case int64:
+		out = AppendKeyLong(out, x)
+	case float64:
+		out = AppendKeyDouble(out, x)
+	case bool:
+		out = AppendKeyBool(out, x)
+	case string:
+		out = AppendKeyString(out, x)
+	default:
+		return nil, fmt.Errorf("exec: cannot encode key value of type %T", v)
+	}
+	if desc {
+		for j := start; j < len(out); j++ {
+			out[j] = ^out[j]
 		}
 	}
 	return out, nil
@@ -117,12 +142,12 @@ func AppendKeyString[S string | []byte](out []byte, s S) []byte {
 // Only primitive kinds cross the shuffle; the planner never ships complex
 // columns through a ReduceSink.
 
-// EncodeRow serializes a row for the shuffle using the schema's kinds.
-func EncodeRow(schema *plan.Schema, row types.Row) ([]byte, error) {
+// appendRow appends the shuffle value encoding of row, using the schema's
+// kinds, to out.
+func appendRow(out []byte, schema *plan.Schema, row types.Row) ([]byte, error) {
 	if len(row) != schema.Width() {
 		return nil, fmt.Errorf("exec: row width %d != schema width %d", len(row), schema.Width())
 	}
-	var out []byte
 	for i, v := range row {
 		if v == nil {
 			out = append(out, 0)
@@ -155,9 +180,15 @@ func EncodeRow(schema *plan.Schema, row types.Row) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeRow parses a shuffle value back into a row.
-func DecodeRow(schema *plan.Schema, buf []byte) (types.Row, error) {
-	row := make(types.Row, schema.Width())
+// DecodeRowInto parses a shuffle value into row, reusing its memory when it
+// is wide enough (nil allocates a new row), and returns the filled row. A
+// reduce task decodes every record into one row this way; the operators it
+// feeds only borrow it (DESIGN.md §16).
+func DecodeRowInto(schema *plan.Schema, buf []byte, row types.Row) (types.Row, error) {
+	if cap(row) < schema.Width() {
+		row = make(types.Row, schema.Width())
+	}
+	row = row[:schema.Width()]
 	pos := 0
 	for i := range row {
 		if pos >= len(buf) {
@@ -166,6 +197,7 @@ func DecodeRow(schema *plan.Schema, buf []byte) (types.Row, error) {
 		present := buf[pos]
 		pos++
 		if present == 0 {
+			row[i] = nil
 			continue
 		}
 		switch schema.Cols[i].Kind {

@@ -109,29 +109,36 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		{nil, nil, nil, nil, nil},
 		{int64(-1), 0.0, "", false, []byte{}},
 	}
+	var reused types.Row // decoding into a row that held the previous one
 	for _, row := range rows {
-		buf, err := EncodeRow(schema, row)
+		buf, err := appendRow(nil, schema, row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeRow(schema, buf)
+		got, err := DecodeRowInto(schema, buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, row) {
 			t.Errorf("round trip: got %#v, want %#v", got, row)
 		}
+		if reused, err = DecodeRowInto(schema, buf, reused); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(reused, row) {
+			t.Errorf("round trip into a reused row: got %#v, want %#v", reused, row)
+		}
 	}
 	// Width mismatch.
-	if _, err := EncodeRow(schema, types.Row{int64(1)}); err == nil {
+	if _, err := appendRow(nil, schema, types.Row{int64(1)}); err == nil {
 		t.Error("short row accepted")
 	}
 	// Truncated buffer.
-	buf, _ := EncodeRow(schema, rows[0])
-	if _, err := DecodeRow(schema, buf[:len(buf)-1]); err == nil {
+	buf, _ := appendRow(nil, schema, rows[0])
+	if _, err := DecodeRowInto(schema, buf[:len(buf)-1], nil); err == nil {
 		t.Error("truncated buffer accepted")
 	}
-	if _, err := DecodeRow(schema, append(buf, 0)); err == nil {
+	if _, err := DecodeRowInto(schema, append(buf, 0), nil); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }

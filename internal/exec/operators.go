@@ -3,12 +3,19 @@
 // side, StartGroup/EndGroup signals delimit key groups and are propagated
 // through the operator tree, with Mux counting its parents' signals — the
 // coordination mechanism §5.2.2 describes.
+//
+// Rows are borrowed (DESIGN.md §16): a row passed to Process belongs to the
+// caller and is valid only for the length of that call. An operator that
+// keeps a row — the join buffers, a group-by's first row, the sinks and
+// the hash-table builds — copies it; every other operator builds its
+// output in scratch memory it reuses for the next row.
 package exec
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/types"
@@ -39,6 +46,9 @@ type Context struct {
 	// local per-operator build. Bucket map joins bypass it: their builds
 	// are per-bucket, cheap, and differ across tasks.
 	SharedHashTable func(mj *plan.MapJoin, input int, build func() (*HashTable, error)) (*HashTable, error)
+
+	// shuffle holds the attempt's ReduceSink output bytes (shuffle.go).
+	shuffle shuffleArena
 }
 
 // Operator is a runtime operator instance.
@@ -46,7 +56,8 @@ type Operator interface {
 	Init(ctx *Context) error
 	// Process consumes one row. tag is operator-specific: the shuffle tag
 	// for reduce entries, the join input index for joins, the edge
-	// position for Mux.
+	// position for Mux. row is borrowed: it must not be modified, and it
+	// must be copied to be kept after Process returns.
 	Process(row types.Row, tag int) error
 	// StartGroup/EndGroup delimit reduce-side key groups.
 	StartGroup() error
@@ -65,6 +76,18 @@ type childRef struct {
 // base provides fan-out to children and default signal propagation.
 type base struct {
 	children []childRef
+	// signal lists each distinct child operator once, in wiring order:
+	// Init, group signals and Flush reach an operator once however many
+	// edges lead to it from this parent.
+	signal []Operator
+}
+
+// addChild wires one edge, recording a newly seen operator in signal.
+func (b *base) addChild(c childRef) {
+	b.children = append(b.children, c)
+	if !slices.Contains(b.signal, c.op) {
+		b.signal = append(b.signal, c.op)
+	}
 }
 
 func (b *base) forward(row types.Row) error {
@@ -77,8 +100,8 @@ func (b *base) forward(row types.Row) error {
 }
 
 func (b *base) initChildren(ctx *Context) error {
-	for _, c := range b.children {
-		if err := c.op.Init(ctx); err != nil {
+	for _, c := range b.signal {
+		if err := c.Init(ctx); err != nil {
 			return err
 		}
 	}
@@ -86,7 +109,7 @@ func (b *base) initChildren(ctx *Context) error {
 }
 
 func (b *base) startGroupChildren() error {
-	for _, c := range distinctOps(b.children) {
+	for _, c := range b.signal {
 		if err := c.StartGroup(); err != nil {
 			return err
 		}
@@ -95,7 +118,7 @@ func (b *base) startGroupChildren() error {
 }
 
 func (b *base) endGroupChildren() error {
-	for _, c := range distinctOps(b.children) {
+	for _, c := range b.signal {
 		if err := c.EndGroup(); err != nil {
 			return err
 		}
@@ -104,29 +127,12 @@ func (b *base) endGroupChildren() error {
 }
 
 func (b *base) flushChildren() error {
-	for _, c := range distinctOps(b.children) {
+	for _, c := range b.signal {
 		if err := c.Flush(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func distinctOps(children []childRef) []Operator {
-	var out []Operator
-	for _, c := range children {
-		dup := false
-		for _, o := range out {
-			if o == c.op {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, c.op)
-		}
-	}
-	return out
 }
 
 // --- Filter ---
@@ -154,16 +160,19 @@ func (o *filterOp) Flush() error      { return o.flushChildren() }
 type selectOp struct {
 	base
 	node *plan.Select
+	out  types.Row // projected row, rebuilt for every input row
 }
 
-func (o *selectOp) Init(ctx *Context) error { return o.initChildren(ctx) }
+func (o *selectOp) Init(ctx *Context) error {
+	o.out = make(types.Row, len(o.node.Exprs))
+	return o.initChildren(ctx)
+}
 
 func (o *selectOp) Process(row types.Row, _ int) error {
-	out := make(types.Row, len(o.node.Exprs))
 	for i, e := range o.node.Exprs {
-		out[i] = e.Eval(row)
+		o.out[i] = e.Eval(row)
 	}
-	return o.forward(out)
+	return o.forward(o.out)
 }
 
 func (o *selectOp) StartGroup() error { return o.startGroupChildren() }
@@ -219,19 +228,7 @@ type reduceSinkOp struct {
 func (o *reduceSinkOp) Init(ctx *Context) error { o.ctx = ctx; return nil }
 
 func (o *reduceSinkOp) Process(row types.Row, _ int) error {
-	keyVals := make([]any, len(o.node.Keys))
-	for i, k := range o.node.Keys {
-		keyVals[i] = k.Eval(row)
-	}
-	key, err := EncodeKey(keyVals, o.node.SortDesc)
-	if err != nil {
-		return err
-	}
-	value, err := EncodeRow(o.node.Out, row)
-	if err != nil {
-		return err
-	}
-	return o.ctx.EmitShuffle(o.node, key, o.node.Tag, value)
+	return o.ctx.EmitReduceSink(o.node, row)
 }
 
 func (o *reduceSinkOp) StartGroup() error { return nil }
@@ -243,34 +240,42 @@ func (o *reduceSinkOp) Flush() error      { return nil }
 type groupByOp struct {
 	base
 	node *plan.GroupBy
+	out  types.Row // result row, rebuilt for every emitted group
 
-	// Reduce-side (Complete/Final) state: one set of agg states per key
-	// group, reset at StartGroup.
-	states   []*plan.AggState
+	// Reduce-side (Complete/Final) state: one set of agg states, reset in
+	// place at StartGroup, and a copy of the group's first row.
+	states   []plan.AggState
 	firstRow types.Row
+	hasFirst bool
 	sawGroup bool
 
-	// Map-side (Partial) state: hash aggregation.
+	// Map-side (Partial) state: hash aggregation. keyVals and keyBuf are
+	// the probe's scratch; a new group copies them.
 	hash     map[string]*hashEntry
 	hashKeys []string // insertion order for deterministic flush
+	keyVals  []any
+	keyBuf   []byte
 }
 
 type hashEntry struct {
 	keyVals []any
-	states  []*plan.AggState
+	states  []plan.AggState
 }
 
 func (o *groupByOp) Init(ctx *Context) error {
 	if o.node.Mode == plan.GBYPartial {
 		o.hash = make(map[string]*hashEntry)
+		o.keyVals = make([]any, len(o.node.Keys))
+	} else {
+		o.states = o.newStates()
 	}
 	return o.initChildren(ctx)
 }
 
-func (o *groupByOp) newStates() []*plan.AggState {
-	states := make([]*plan.AggState, len(o.node.Aggs))
+func (o *groupByOp) newStates() []plan.AggState {
+	states := make([]plan.AggState, len(o.node.Aggs))
 	for i, d := range o.node.Aggs {
-		states[i] = plan.NewAggState(d)
+		states[i] = *plan.NewAggState(d)
 	}
 	return states
 }
@@ -278,44 +283,40 @@ func (o *groupByOp) newStates() []*plan.AggState {
 func (o *groupByOp) Process(row types.Row, _ int) error {
 	switch o.node.Mode {
 	case plan.GBYPartial:
-		keyVals := make([]any, len(o.node.Keys))
 		for i, k := range o.node.Keys {
-			keyVals[i] = k.Eval(row)
+			o.keyVals[i] = k.Eval(row)
 		}
-		kb, err := EncodeKey(keyVals, nil)
+		kb, err := appendKey(o.keyBuf[:0], o.keyVals, nil)
 		if err != nil {
 			return err
 		}
+		o.keyBuf = kb
 		ent, ok := o.hash[string(kb)]
 		if !ok {
 			// One string conversion, shared by the map key and the
 			// insertion-order slice (the lookup above converts for free).
 			k := string(kb)
-			ent = &hashEntry{keyVals: keyVals, states: o.newStates()}
+			ent = &hashEntry{keyVals: slices.Clone(o.keyVals), states: o.newStates()}
 			o.hash[k] = ent
 			o.hashKeys = append(o.hashKeys, k)
 		}
-		for _, s := range ent.states {
-			s.Update(row)
+		for i := range ent.states {
+			ent.states[i].Update(row)
 		}
 		return nil
 	case plan.GBYComplete:
-		if o.firstRow == nil {
-			o.firstRow = row.Clone()
-		}
-		for _, s := range o.states {
-			s.Update(row)
+		o.keepFirst(row)
+		for i := range o.states {
+			o.states[i].Update(row)
 		}
 		return nil
 	case plan.GBYFinal:
-		if o.firstRow == nil {
-			o.firstRow = row.Clone()
-		}
+		o.keepFirst(row)
 		// Input rows are keys followed by flattened partial states.
 		pos := len(o.node.Keys)
-		for i, s := range o.states {
+		for i := range o.states {
 			w := o.node.Aggs[i].StateWidth()
-			s.Merge(row[pos : pos+w])
+			o.states[i].Merge(row[pos : pos+w])
 			pos += w
 		}
 		return nil
@@ -323,10 +324,20 @@ func (o *groupByOp) Process(row types.Row, _ int) error {
 	return fmt.Errorf("exec: bad group-by mode %v", o.node.Mode)
 }
 
+// keepFirst copies the group's first row; the result row reads its keys.
+func (o *groupByOp) keepFirst(row types.Row) {
+	if !o.hasFirst {
+		o.firstRow = append(o.firstRow[:0], row...)
+		o.hasFirst = true
+	}
+}
+
 func (o *groupByOp) StartGroup() error {
 	if o.node.Mode != plan.GBYPartial {
-		o.states = o.newStates()
-		o.firstRow = nil
+		for i := range o.states {
+			o.states[i].Reset()
+		}
+		o.hasFirst = false
 		o.sawGroup = true
 	}
 	return o.startGroupChildren()
@@ -335,7 +346,7 @@ func (o *groupByOp) StartGroup() error {
 // EndGroup emits the group's result row, then propagates the signal — the
 // emit-before-propagate ordering the Demux/Mux coordination relies on.
 func (o *groupByOp) EndGroup() error {
-	if o.node.Mode != plan.GBYPartial && o.firstRow != nil {
+	if o.node.Mode != plan.GBYPartial && o.hasFirst {
 		if err := o.forward(o.resultRow()); err != nil {
 			return err
 		}
@@ -344,7 +355,7 @@ func (o *groupByOp) EndGroup() error {
 }
 
 func (o *groupByOp) resultRow() types.Row {
-	out := make(types.Row, 0, len(o.node.Keys)+len(o.states))
+	out := o.out[:0]
 	for i, k := range o.node.Keys {
 		if o.node.Mode == plan.GBYFinal {
 			// Keys are leading columns of the shipped partial rows.
@@ -353,9 +364,10 @@ func (o *groupByOp) resultRow() types.Row {
 			out = append(out, k.Eval(o.firstRow))
 		}
 	}
-	for _, s := range o.states {
-		out = append(out, s.Result())
+	for i := range o.states {
+		out = append(out, o.states[i].Result())
 	}
+	o.out = out
 	return out
 }
 
@@ -364,11 +376,11 @@ func (o *groupByOp) Flush() error {
 	case plan.GBYPartial:
 		for _, kb := range o.hashKeys {
 			ent := o.hash[kb]
-			out := make(types.Row, 0, len(ent.keyVals)+len(ent.states))
-			out = append(out, ent.keyVals...)
-			for _, s := range ent.states {
-				out = append(out, s.PartialResult()...)
+			out := append(o.out[:0], ent.keyVals...)
+			for i := range ent.states {
+				out = ent.states[i].AppendPartial(out)
 			}
+			o.out = out
 			if err := o.forward(out); err != nil {
 				return err
 			}
@@ -377,14 +389,9 @@ func (o *groupByOp) Flush() error {
 		o.hashKeys = nil
 	default:
 		// A keyless aggregation over an empty input still produces one
-		// row (count(*) = 0).
-		if len(o.node.Keys) == 0 && !o.sawGroupEver() {
-			o.states = o.newStates()
-			out := make(types.Row, 0, len(o.states))
-			for _, s := range o.states {
-				out = append(out, s.Result())
-			}
-			if err := o.forward(out); err != nil {
+		// row (count(*) = 0); no group ever touched the states.
+		if len(o.node.Keys) == 0 && !o.sawGroup {
+			if err := o.forward(o.resultRow()); err != nil {
 				return err
 			}
 		}
@@ -392,32 +399,42 @@ func (o *groupByOp) Flush() error {
 	return o.flushChildren()
 }
 
-func (o *groupByOp) sawGroupEver() bool { return o.sawGroup }
-
 // --- Reduce-side Join ---
 
 type joinOp struct {
 	base
-	node    *plan.Join
-	buffers [][]types.Row
+	node *plan.Join
+	// slabs[i] holds the values of input i's buffered rows back to back,
+	// and rows[i] are capped subslices of it. Both are reset, not freed, at
+	// StartGroup: earlier subslices stay valid after an append moves a
+	// slab, and nothing downstream keeps them past the group.
+	slabs [][]any
+	rows  [][]types.Row
+	out   types.Row // output row, rebuilt for every combination
 }
 
 func (o *joinOp) Init(ctx *Context) error {
-	o.buffers = make([][]types.Row, o.node.NumInputs)
+	o.slabs = make([][]any, o.node.NumInputs)
+	o.rows = make([][]types.Row, o.node.NumInputs)
 	return o.initChildren(ctx)
 }
 
 func (o *joinOp) Process(row types.Row, tag int) error {
-	if tag < 0 || tag >= len(o.buffers) {
-		return fmt.Errorf("exec: join received tag %d with %d inputs", tag, len(o.buffers))
+	if tag < 0 || tag >= len(o.rows) {
+		return fmt.Errorf("exec: join received tag %d with %d inputs", tag, len(o.rows))
 	}
-	o.buffers[tag] = append(o.buffers[tag], row.Clone())
+	slab := o.slabs[tag]
+	start := len(slab)
+	slab = append(slab, row...)
+	o.slabs[tag] = slab
+	o.rows[tag] = append(o.rows[tag], slab[start:len(slab):len(slab)])
 	return nil
 }
 
 func (o *joinOp) StartGroup() error {
-	for i := range o.buffers {
-		o.buffers[i] = o.buffers[i][:0]
+	for i := range o.rows {
+		o.slabs[i] = o.slabs[i][:0]
+		o.rows[i] = o.rows[i][:0]
 	}
 	return o.startGroupChildren()
 }
@@ -425,17 +442,18 @@ func (o *joinOp) StartGroup() error {
 // EndGroup emits the inner-join cross product of the buffered rows (all
 // rows in a group share the join key), then propagates.
 func (o *joinOp) EndGroup() error {
-	if err := o.emit(0, nil); err != nil {
+	if err := o.emit(0, o.out[:0]); err != nil {
 		return err
 	}
 	return o.endGroupChildren()
 }
 
 func (o *joinOp) emit(input int, acc types.Row) error {
-	if input == len(o.buffers) {
-		return o.forward(acc.Clone())
+	if input == len(o.rows) {
+		o.out = acc[:0] // keep the grown buffer for the next group
+		return o.forward(acc)
 	}
-	for _, row := range o.buffers[input] {
+	for _, row := range o.rows[input] {
 		next := append(acc, row...)
 		if err := o.emit(input+1, next); err != nil {
 			return err
@@ -459,6 +477,10 @@ type mapJoinOp struct {
 	sorted []*sortedSide
 	// smallScans[i] is the plan subtree root feeding small input i.
 	smallSources []plan.Node
+	// keyBuf and out are the probe's scratch: the encoded probe key and
+	// the assembled output row.
+	keyBuf []byte
+	out    types.Row
 }
 
 func (o *mapJoinOp) Init(ctx *Context) error {
@@ -577,14 +599,15 @@ func runLocalChainScan(ctx *Context, top plan.Node, open func(*plan.TableScan) (
 }
 
 func (o *mapJoinOp) Process(row types.Row, _ int) error {
-	return o.probe(0, row, nil)
+	return o.probe(0, row, o.out[:0])
 }
 
 // probe assembles output rows in input order, streaming the big input and
 // looking the others up in their hash tables.
 func (o *mapJoinOp) probe(input int, bigRow types.Row, acc types.Row) error {
 	if input == len(o.tables) {
-		return o.forward(acc.Clone())
+		o.out = acc[:0] // keep the grown buffer for the next row
+		return o.forward(acc)
 	}
 	if input == o.node.BigIdx {
 		next := append(acc, bigRow...)
@@ -593,16 +616,14 @@ func (o *mapJoinOp) probe(input int, bigRow types.Row, acc types.Row) error {
 		}
 		return nil
 	}
-	keyVals := make([]any, len(o.node.ProbeKeys[input]))
-	for i, k := range o.node.ProbeKeys[input] {
-		// Probe keys are the big side's join expressions, evaluated over
-		// the streaming big row.
-		keyVals[i] = k.Eval(bigRow)
-	}
-	kb, err := EncodeKey(keyVals, nil)
+	// Probe keys are the big side's join expressions, evaluated over the
+	// streaming big row. The key buffer is shared by every input: each
+	// lookup finishes before the next input's key is encoded.
+	kb, err := appendKeyExprs(o.keyBuf[:0], o.node.ProbeKeys[input], bigRow)
 	if err != nil {
 		return err
 	}
+	o.keyBuf = kb
 	var matches []types.Row
 	if o.sorted[input] != nil {
 		matches = o.sorted[input].matches(kb)
@@ -625,19 +646,14 @@ func (o *mapJoinOp) Flush() error      { return o.flushChildren() }
 
 // --- Demux ---
 
+// demuxOp routes each row to the child its tag names. Its children are
+// indexed by position (the edge tag base records is unused).
 type demuxOp struct {
-	node     *plan.Demux
-	children []childRef // index: child position; tag unused
+	base
+	node *plan.Demux
 }
 
-func (o *demuxOp) Init(ctx *Context) error {
-	for _, c := range distinctOps(o.children) {
-		if err := c.Init(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (o *demuxOp) Init(ctx *Context) error { return o.initChildren(ctx) }
 
 func (o *demuxOp) Process(row types.Row, newTag int) error {
 	if newTag < 0 || newTag >= len(o.node.ChildIdx) {
@@ -653,32 +669,9 @@ func (o *demuxOp) Process(row types.Row, newTag int) error {
 	return child.op.Process(row, o.node.OldTag[newTag])
 }
 
-func (o *demuxOp) StartGroup() error {
-	for _, c := range distinctOps(o.children) {
-		if err := c.StartGroup(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (o *demuxOp) EndGroup() error {
-	for _, c := range distinctOps(o.children) {
-		if err := c.EndGroup(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (o *demuxOp) Flush() error {
-	for _, c := range distinctOps(o.children) {
-		if err := c.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (o *demuxOp) StartGroup() error { return o.startGroupChildren() }
+func (o *demuxOp) EndGroup() error   { return o.endGroupChildren() }
+func (o *demuxOp) Flush() error      { return o.flushChildren() }
 
 // --- Mux ---
 

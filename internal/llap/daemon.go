@@ -198,6 +198,13 @@ func (d *Daemon) Alive() bool {
 // This is the single write-tracking entry point: a committed transaction
 // (or a bulk load) invalidates all tiers through one call, exactly once,
 // instead of each tier growing its own per-table hook.
+//
+// Lock order: the chunk, build and meta cache locks are leaf locks. Each
+// cache takes only its own mutex, and none is held while another lock is
+// taken — InvalidateTable visits the tiers one after another, and the
+// chunk cache's fault hook runs before its mutex is acquired — so
+// invalidation can race lookups, inserts and pins in any order without
+// deadlock (TestInvalidateRacesCacheTiers checks it under -race).
 func (d *Daemon) InvalidateTable(name, path string) {
 	d.builds.InvalidateTable(name)
 	d.chunks.InvalidatePath(path)

@@ -22,9 +22,11 @@ package mapred
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -351,11 +353,21 @@ func (e *Engine) pickNode(task, attempt int) int {
 }
 
 // partitionedBuffer collects committed map output for one reducer
-// partition.
+// partition: the committed attempts' record chunks, in arrival order.
 type partitionedBuffer struct {
-	mu   sync.Mutex
-	recs []ShuffleRecord
+	mu     sync.Mutex
+	chunks [][]ShuffleRecord
 }
+
+// Record chunk sizes. A partition's records grow by append, as any slice,
+// until the open chunk holds minChunk; from then on a full chunk is kept
+// and a new one twice its size (up to maxChunk) is started, so a large
+// output is never copied between Collect and the reduce-side sort, and a
+// small one costs what a plain slice does.
+const (
+	minChunk = 256
+	maxChunk = 8192
+)
 
 // attemptCollector is the output-commit protocol's private buffer: one map
 // attempt's shuffle records, invisible to reducers until commit. A failed
@@ -363,13 +375,20 @@ type partitionedBuffer struct {
 // and a mid-map failure never leaves partial output in the shuffle.
 type attemptCollector struct {
 	parts []*partitionedBuffer
-	bufs  [][]ShuffleRecord
+	bufs  []recordChunks // per partition
 	recs  int64
 	bytes int64
 }
 
+// recordChunks is one partition's output of one attempt: full chunks, then
+// the open one.
+type recordChunks struct {
+	full [][]ShuffleRecord
+	open []ShuffleRecord
+}
+
 func newAttemptCollector(parts []*partitionedBuffer) *attemptCollector {
-	return &attemptCollector{parts: parts, bufs: make([][]ShuffleRecord, len(parts))}
+	return &attemptCollector{parts: parts, bufs: make([]recordChunks, len(parts))}
 }
 
 func (c *attemptCollector) Collect(partition int, rec ShuffleRecord) error {
@@ -379,7 +398,12 @@ func (c *attemptCollector) Collect(partition int, rec ShuffleRecord) error {
 	if partition < 0 || partition >= len(c.parts) {
 		return fmt.Errorf("mapred: partition %d out of range [0,%d)", partition, len(c.parts))
 	}
-	c.bufs[partition] = append(c.bufs[partition], rec)
+	buf := &c.bufs[partition]
+	if len(buf.open) == cap(buf.open) && cap(buf.open) >= minChunk {
+		buf.full = append(buf.full, buf.open)
+		buf.open = make([]ShuffleRecord, 0, min(2*cap(buf.open), maxChunk))
+	}
+	buf.open = append(buf.open, rec)
 	c.recs++
 	c.bytes += int64(len(rec.Key) + len(rec.Value) + 8)
 	return nil
@@ -389,13 +413,13 @@ func (c *attemptCollector) Collect(partition int, rec ShuffleRecord) error {
 // partitions; shuffle counters are charged here, so they only ever count
 // committed output.
 func (c *attemptCollector) commit(e *Engine, job *Job) {
-	for p, recs := range c.bufs {
-		if len(recs) == 0 {
+	for p, buf := range c.bufs {
+		if len(buf.open) == 0 {
 			continue
 		}
 		part := c.parts[p]
 		part.mu.Lock()
-		part.recs = append(part.recs, recs...)
+		part.chunks = append(append(part.chunks, buf.full...), buf.open)
 		part.mu.Unlock()
 	}
 	e.charge(job, func(cs *Counters) {
@@ -493,15 +517,12 @@ func (e *Engine) RunContext(ctx context.Context, job *Job) (err error) {
 }
 
 func (e *Engine) reduceTask(tc *TaskContext, job *Job, part *partitionedBuffer) error {
+	// The map phase is over, so the committed records no longer change;
+	// each attempt reads them and sorts a private copy.
 	part.mu.Lock()
-	recs := append([]ShuffleRecord(nil), part.recs...)
+	committed := part.chunks
 	part.mu.Unlock()
-	sort.SliceStable(recs, func(a, b int) bool {
-		if c := bytes.Compare(recs[a].Key, recs[b].Key); c != 0 {
-			return c < 0
-		}
-		return recs[a].Tag < recs[b].Tag
-	})
+	recs := sortShuffle(committed)
 	pos := 0
 	next := func() (*Group, bool) {
 		if pos >= len(recs) {
@@ -515,6 +536,46 @@ func (e *Engine) reduceTask(tc *TaskContext, job *Job, part *partitionedBuffer) 
 		return &Group{Key: key, Records: recs[start:pos]}, true
 	}
 	return job.ReduceFunc(tc, next)
+}
+
+// recordPos locates a record in a partition's chunks; (chunk, i) order is
+// arrival order.
+type recordPos struct{ chunk, i int32 }
+
+// sortShuffle gathers the records of chunks into one slice ordered by
+// (key, tag), records with equal key and tag keeping their arrival order.
+// It sorts record positions with the arrival as the last tie-break, which
+// makes the order total: an unstable sort then yields exactly the stable
+// result, and each record is copied once.
+func sortShuffle(chunks [][]ShuffleRecord) []ShuffleRecord {
+	n := 0
+	for _, ch := range chunks {
+		n += len(ch)
+	}
+	order := make([]recordPos, 0, n)
+	for c, ch := range chunks {
+		for i := range ch {
+			order = append(order, recordPos{int32(c), int32(i)})
+		}
+	}
+	slices.SortFunc(order, func(a, b recordPos) int {
+		ra, rb := &chunks[a.chunk][a.i], &chunks[b.chunk][b.i]
+		if c := bytes.Compare(ra.Key, rb.Key); c != 0 {
+			return c
+		}
+		if ra.Tag != rb.Tag {
+			return cmp.Compare(ra.Tag, rb.Tag)
+		}
+		if a.chunk != b.chunk {
+			return cmp.Compare(a.chunk, b.chunk)
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	out := make([]ShuffleRecord, n)
+	for i, p := range order {
+		out[i] = chunks[p.chunk][p.i]
+	}
+	return out
 }
 
 // attemptOutcome is one finished attempt, reported to the phase scheduler.

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -632,5 +633,99 @@ func TestRunnerContextCancellation(t *testing.T) {
 	err := NewEngine(Config{}).RunContext(ctx, job)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// shuffleRecords builds n records over keys 0..n/8 and three tags in a
+// scrambled arrival order; each value holds its arrival index.
+func shuffleRecords(n int) []ShuffleRecord {
+	recs := make([]ShuffleRecord, n)
+	for i := range recs {
+		k := (i * 7919) % (n/8 + 1)
+		recs[i] = ShuffleRecord{
+			Key:   []byte(fmt.Sprintf("k%06d", k)),
+			Tag:   (i * 31) % 3,
+			Value: []byte(fmt.Sprintf("%d", i)),
+		}
+	}
+	return recs
+}
+
+// TestShuffleSortKeepsArrivalWithinKeyTag checks the reduce-side sort
+// orders records by (key, tag) and keeps records with equal key and tag in
+// arrival order, as a stable sort would.
+func TestShuffleSortKeepsArrivalWithinKeyTag(t *testing.T) {
+	recs := shuffleRecords(2000)
+	want := append([]ShuffleRecord(nil), recs...)
+	sort.SliceStable(want, func(a, b int) bool {
+		if c := bytes.Compare(want[a].Key, want[b].Key); c != 0 {
+			return c < 0
+		}
+		return want[a].Tag < want[b].Tag
+	})
+	var got []ShuffleRecord
+	job := &Job{
+		Name:       "arrival",
+		Splits:     []any{0},
+		NumReduces: 1,
+		MapFunc: func(tc *TaskContext, split any, out Collector) error {
+			for _, r := range recs {
+				if err := out.Collect(0, r); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		ReduceFunc: func(tc *TaskContext, groups func() (*Group, bool)) error {
+			for g, ok := groups(); ok; g, ok = groups() {
+				got = append(got, g.Records...)
+			}
+			return nil
+		},
+	}
+	if err := NewEngine(Config{Slots: 1}).Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reduced %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i].Key, want[i].Key) || got[i].Tag != want[i].Tag || !bytes.Equal(got[i].Value, want[i].Value) {
+			t.Fatalf("record %d = (%s, %d, %s), want (%s, %d, %s)", i,
+				got[i].Key, got[i].Tag, got[i].Value, want[i].Key, want[i].Tag, want[i].Value)
+		}
+	}
+}
+
+// BenchmarkShuffleSort runs one job whose single map task ships 30k
+// records (about one TPC-DS q95 shuffle) to one reducer that walks the
+// groups: the reduce-side sort and grouping dominate.
+func BenchmarkShuffleSort(b *testing.B) {
+	recs := shuffleRecords(30000)
+	e := NewEngine(Config{Slots: 1})
+	job := &Job{
+		Name:       "sort",
+		Splits:     []any{0},
+		NumReduces: 1,
+		MapFunc: func(tc *TaskContext, split any, out Collector) error {
+			for _, r := range recs {
+				if err := out.Collect(0, r); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		ReduceFunc: func(tc *TaskContext, groups func() (*Group, bool)) error {
+			for _, ok := groups(); ok; _, ok = groups() {
+			}
+			return nil
+		},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Run(job); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

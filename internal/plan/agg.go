@@ -116,6 +116,9 @@ type AggState struct {
 // NewAggState creates an empty state for the descriptor.
 func NewAggState(desc AggDesc) *AggState { return &AggState{desc: desc} }
 
+// Reset empties the state in place for the next group.
+func (s *AggState) Reset() { *s = AggState{desc: s.desc} }
+
 // Update folds one input row into the state (Complete/Partial modes).
 func (s *AggState) Update(row types.Row) {
 	var v any
@@ -156,7 +159,7 @@ func (s *AggState) Update(row types.Row) {
 	}
 }
 
-// Merge folds partial-state columns (produced by PartialResult on the map
+// Merge folds partial-state columns (produced by AppendPartial on the map
 // side) into the state (Final mode). state holds exactly StateWidth values.
 func (s *AggState) Merge(state []any) {
 	switch s.desc.Func {
@@ -194,21 +197,21 @@ func (s *AggState) Merge(state []any) {
 	}
 }
 
-// PartialResult emits the map-side partial state columns.
-func (s *AggState) PartialResult() []any {
+// AppendPartial appends the map-side partial state columns to out.
+func (s *AggState) AppendPartial(out []any) []any {
 	switch s.desc.Func {
 	case AggCount:
-		return []any{s.count}
+		return append(out, s.count)
 	case AggSum:
-		return []any{s.sumValue()}
+		return append(out, s.sumValue())
 	case AggAvg:
-		return []any{s.sum, s.count}
+		return append(out, s.sum, s.count)
 	case AggMin:
-		return []any{s.min}
+		return append(out, s.min)
 	case AggMax:
-		return []any{s.max}
+		return append(out, s.max)
 	}
-	return nil
+	return out
 }
 
 // Result emits the final aggregate value.

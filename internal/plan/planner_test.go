@@ -319,8 +319,8 @@ func TestAggPartialMerge(t *testing.T) {
 			}
 		}
 		final := NewAggState(desc)
-		final.Merge(p1.PartialResult())
-		final.Merge(p2.PartialResult())
+		final.Merge(p1.AppendPartial(nil))
+		final.Merge(p2.AppendPartial(nil))
 
 		direct := NewAggState(desc)
 		for i := int64(1); i <= 6; i++ {

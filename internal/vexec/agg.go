@@ -386,7 +386,7 @@ func (a *aggCol) foldCount(v vector.ColumnVector, sel []int, slots []int64) {
 }
 
 // appendPartial appends slot s's partial state, laid out as
-// plan.AggState.PartialResult.
+// plan.AggState.AppendPartial.
 func (a *aggCol) appendPartial(row types.Row, s int) types.Row {
 	switch a.desc.Func {
 	case plan.AggCount:
@@ -423,13 +423,14 @@ func (a *aggCol) appendPartial(row types.Row, s int) types.Row {
 // GBYPartial emits them (keys, then flattened partial states), so the
 // reduce-side Final group-by is engine-agnostic.
 func (t *hashAggTerminal) flush() error {
+	// One row for every group: the ReduceSink encoder only borrows it.
+	row := make(types.Row, 0, len(t.keyCols)+2*len(t.accs))
 	for s, keys := range t.keys {
-		row := make(types.Row, 0, len(keys)+2*len(t.accs))
-		row = append(row, keys...)
+		row = append(row[:0], keys...)
 		for a := range t.accs {
 			row = t.accs[a].appendPartial(row, s)
 		}
-		if err := emitToReduceSink(t.ctx, t.rs, row); err != nil {
+		if err := t.ctx.EmitReduceSink(t.rs, row); err != nil {
 			return err
 		}
 	}

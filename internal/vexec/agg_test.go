@@ -122,7 +122,7 @@ type shipped struct {
 
 func (s *shipped) ctx(t *testing.T) *exec.Context {
 	return &exec.Context{EmitShuffle: func(rs *plan.ReduceSink, key []byte, _ int, value []byte) error {
-		row, err := exec.DecodeRow(rs.Out, value)
+		row, err := exec.DecodeRowInto(rs.Out, value, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -258,10 +258,11 @@ func (e *rowEmitter) consume(b *vector.VectorizedRowBatch) error {
 		for c := 0; c < width; c++ {
 			e.row[c] = columnValue(b, e.state.colMap[c], e.state.kinds[c], i)
 		}
+		// Both targets only borrow the row (the sink copies what it keeps).
 		if e.rs != nil {
-			failed = emitToReduceSink(e.ctx, e.rs, e.row)
+			failed = e.ctx.EmitReduceSink(e.rs, e.row)
 		} else {
-			failed = e.ctx.SinkRow(e.fsink.Dest, e.row.Clone())
+			failed = e.ctx.SinkRow(e.fsink.Dest, e.row)
 		}
 	})
 	return failed
@@ -297,22 +298,4 @@ func columnValue(b *vector.VectorizedRowBatch, col int, kind types.Kind, i int) 
 		return string(v.Value(i))
 	}
 	return nil
-}
-
-// emitToReduceSink encodes and ships one row, identically to the row-mode
-// reduceSinkOp (the shuffle is not vectorized, matching Hive).
-func emitToReduceSink(ctx *exec.Context, rs *plan.ReduceSink, row types.Row) error {
-	keyVals := make([]any, len(rs.Keys))
-	for i, k := range rs.Keys {
-		keyVals[i] = k.Eval(row)
-	}
-	key, err := exec.EncodeKey(keyVals, rs.SortDesc)
-	if err != nil {
-		return err
-	}
-	value, err := exec.EncodeRow(rs.Out, row)
-	if err != nil {
-		return err
-	}
-	return ctx.EmitShuffle(rs, key, rs.Tag, value)
 }
